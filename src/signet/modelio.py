@@ -85,6 +85,36 @@ def _align8(n: int) -> int:
     return (n + 7) & ~7
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(_is_int(x) for x in v)
+
+
+def _is_tensor_entry(e) -> bool:
+    return (
+        isinstance(e, dict)
+        and isinstance(e.get("name"), str)
+        and _is_int_list(e.get("shape"))
+        and _is_int(e.get("offset"))
+        and _is_int(e.get("length"))
+    )
+
+
+# Required header fields and their JSON types, checked before any is used.
+_HEADER_FIELDS = {
+    "architecture": lambda v: isinstance(v, str),
+    "input_shape": _is_int_list,
+    "num_classes": _is_int,
+    "class_names": lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
+    "preprocess": lambda v: isinstance(v, dict),
+    "layers": lambda v: isinstance(v, list) and all(isinstance(d, dict) for d in v),
+    "tensors": lambda v: isinstance(v, list) and all(_is_tensor_entry(e) for e in v),
+}
+
+
 def save_model(
     spec: ModelSpec,
     params: ParameterStore,
@@ -154,9 +184,10 @@ def save_model(
 def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, list[str]]:
     """Read an SLM1 file back into (spec, params, preprocess, class_names).
 
-    Validates magic, version, table bounds, the payload checksum, and
-    agreement between the stored layer configs and the architecture
-    builder's output.
+    Validates magic, version, the JSON types of the header fields, table
+    bounds, the payload checksum, and agreement between the stored layer
+    configs and the architecture builder's output. Rejected contents raise
+    a ``ModelFormatError``; a file that cannot be read raises ``OSError``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -169,6 +200,8 @@ def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, 
         header = json.loads(data[8 : 8 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ModelFormatError(f"{path}: header is not a JSON object")
 
     version = header.get("format_version")
     if version != FORMAT_VERSION:
@@ -177,26 +210,25 @@ def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, 
     payload_start = _align8(8 + header_len)
     payload = data[payload_start:]
 
-    required = (
-        "architecture",
-        "input_shape",
-        "num_classes",
-        "class_names",
-        "preprocess",
-        "layers",
-        "tensors",
-    )
-    for key in required:
+    for key, valid in _HEADER_FIELDS.items():
         if key not in header:
             raise ModelFormatError(f"{path}: header missing {key!r}")
+        if not valid(header[key]):
+            raise ModelFormatError(f"{path}: header field {key!r} has the wrong type")
+    if not isinstance(header.get("feature_extractor_trainable", False), bool):
+        raise ModelFormatError(f"{path}: header field 'feature_extractor_trainable' is not a bool")
 
-    spec = models.build(
-        header["architecture"],
-        tuple(header["input_shape"]),
-        header["num_classes"],
-        feature_extractor_trainable=header.get("feature_extractor_trainable", False),
-    )
-    stored_layers = [LayerConfig.from_dict(d) for d in header["layers"]]
+    try:
+        spec = models.build(
+            header["architecture"],
+            tuple(header["input_shape"]),
+            header["num_classes"],
+            feature_extractor_trainable=header.get("feature_extractor_trainable", False),
+        )
+        stored_layers = [LayerConfig.from_dict(d) for d in header["layers"]]
+        preprocess = PreprocessConfig.from_dict(header["preprocess"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise IncompatibleModelError(f"{path}: header rejected by the builders: {exc}") from exc
     if [cfg.to_dict() for cfg in stored_layers] != [cfg.to_dict() for cfg in spec.layers]:
         raise IncompatibleModelError(
             f"{path}: stored layer configs do not match the {spec.architecture} builder"
@@ -206,7 +238,6 @@ def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, 
         raise IncompatibleModelError(
             f"{path}: {len(class_names)} class names for {spec.num_classes} classes"
         )
-    preprocess = PreprocessConfig.from_dict(header["preprocess"])
 
     _, plans = nn.trace_layers(spec.layers, spec.input_shape)
     table = header["tensors"]

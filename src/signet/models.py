@@ -49,10 +49,6 @@ class ModelSpec:
     layers: list[LayerConfig] = field(default_factory=list)
     feature_extractor_trainable: bool = True
 
-    @property
-    def output_shape(self) -> tuple:
-        return (self.num_classes,)
-
 
 def _validate_input(input_shape, num_classes, min_t, min_hw, arch):
     if len(input_shape) != 4:

@@ -256,7 +256,6 @@ def lstm(
     recurrent_kernel: Tensor,
     bias: Tensor,
     return_sequences: bool = False,
-    initial_state: tuple[Tensor, Tensor] | None = None,
 ) -> Tensor:
     """Standard LSTM over a (T, D) sequence.
 
@@ -271,11 +270,8 @@ def lstm(
         )
     if bias.shape != (4 * units,):
         raise ShapeError(f"lstm: bias shape {bias.shape} != ({4 * units},)")
-    if initial_state is None:
-        zeros = np.zeros((1, units), dtype=seq.data.dtype)
-        h, c = Tensor(zeros), Tensor(zeros.copy())
-    else:
-        h, c = (tn.reshape(s, (1, units)) for s in initial_state)
+    zeros = np.zeros((1, units), dtype=seq.data.dtype)
+    h, c = Tensor(zeros), Tensor(zeros.copy())
     brow = tn.reshape(bias, (1, 4 * units))
     outputs = []
     for t in range(steps):

@@ -18,7 +18,9 @@ Reproducibility rules, fixed for every kernel:
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 import numpy as np
 
@@ -80,7 +82,17 @@ class Rng:
     """xoshiro256** stream seeded through splitmix64.
 
     Pure integer arithmetic, so an identical seed yields an identical
-    stream on every platform.
+    stream on every platform. ``next_u64`` is the scalar reference step.
+
+    ``uniforms(n)`` returns exactly what ``n`` calls of ``uniform()`` would,
+    and leaves the state where those calls would. It runs the stream as
+    lanes of ``m`` consecutive draws (``m`` a power of two near sqrt(n)/4):
+    lane ``i`` starts ``i * m`` steps ahead, so it yields draws
+    ``i*m .. i*m+m-1``. The state update is linear over GF(2), so a jump
+    of ``2**j`` steps is one 256x256 bit matrix (Blackman & Vigna 2018,
+    arXiv:1805.01407); lane starts come from doubling, with lanes
+    ``[0, k)`` jumped by ``k * m`` steps to give lanes ``[k, 2k)``. Then
+    ``m`` vectorised steps advance all lanes together.
     """
 
     __slots__ = ("_s",)
@@ -116,24 +128,46 @@ class Rng:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n doubles in [0, 1), drawn sequentially from the stream."""
-        s0, s1, s2, s3 = self._s
-        out = np.empty(n, dtype=np.float64)
-        scale53 = 2.0**-53
-        for i in range(n):
-            r = (s1 * 5) & _U64
-            r = ((r << 7) | (r >> 57)) & _U64
-            r = (r * 9) & _U64
-            t = (s1 << 17) & _U64
+        """n doubles in [0, 1), equal to n sequential ``uniform()`` calls."""
+        n = operator.index(n)
+        if n == 0:
+            return np.empty(0, dtype=np.float64)
+        m = _lane_length(n)
+        lanes = -(-n // m)
+        log_m = m.bit_length() - 1
+        # Row i holds lane i's state words; doubling fills rows [k, 2k).
+        state = np.empty((lanes, 4), dtype=np.uint64)
+        state[0] = self._s
+        k = 1
+        while k < lanes:
+            grow = min(k, lanes - k)
+            state[k : k + grow] = _gf2_apply(_jump_table(log_m + k.bit_length() - 1), state[:grow])
+            k += grow
+        s0, s1, s2, s3 = (state[:, w].copy() for w in range(4))
+        # Draws pass through a small step-major block on their way to the
+        # lane-major output, so memory is written once and in cache lines.
+        # m is a power of two, so the block divides it.
+        block = min(m, 16)
+        raw = np.empty((block, lanes), dtype=np.uint64)
+        out = np.empty(lanes * m, dtype=np.float64)
+        by_lane = out.reshape(lanes, m)
+        last_steps = n - (lanes - 1) * m  # the last lane is only partly used
+        for step in range(m):
+            r = s1 * 5
+            np.multiply((r << 7) | (r >> 57), 9, out=raw[step % block])
+            t = s1 << 17
             s2 ^= s0
             s3 ^= s1
             s1 ^= s2
             s0 ^= s3
             s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _U64
-            out[i] = (r >> 11) * scale53
-        self._s = [s0, s1, s2, s3]
-        return out
+            s3 = (s3 << 45) | (s3 >> 19)
+            if step + 1 == last_steps:
+                self._s = [int(s0[-1]), int(s1[-1]), int(s2[-1]), int(s3[-1])]
+            if (step + 1) % block == 0:
+                raw >>= 11
+                np.multiply(raw.T, 2.0**-53, out=by_lane[:, step + 1 - block : step + 1])
+        return out[:n]
 
     def randbelow(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""
@@ -151,6 +185,63 @@ class Rng:
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
         return items
+
+
+def _lane_length(n: int) -> int:
+    """Draws per lane in ``Rng.uniforms(n)``: a power of two near sqrt(n)/4.
+
+    Each step costs a fixed number of numpy calls and each lane one jump, so
+    the total is least with a few times more lanes than steps per lane.
+    """
+    return 1 << max(0, n.bit_length() // 2 - 2)
+
+
+def _gf2_apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Multiply each row of ``states`` (k, 4) by a GF(2) matrix.
+
+    ``table[p, v]`` is the matrix's image of byte ``p`` of a state (byte
+    ``p % 8`` of word ``p // 8``) holding ``v`` with every other byte zero,
+    so the product is the XOR of 32 looked-up images.
+    """
+    shifts = np.arange(0, 64, 8, dtype=np.uint64)
+    index = ((states[:, :, None] >> shifts) & np.uint64(0xFF)).reshape(len(states), 32)
+    return np.bitwise_xor.reduce(table[np.arange(32), index], axis=1)
+
+
+def _byte_table(rows: np.ndarray) -> np.ndarray:
+    """``_gf2_apply``'s table for the matrix whose image of state bit ``b``
+    (bit ``b % 64`` of word ``b // 64``) is ``rows[b]``."""
+    rows = rows.reshape(32, 8, 4)
+    table = np.zeros((32, 256, 4), dtype=np.uint64)
+    for i in range(8):
+        table[:, 1 << i : 2 << i] = table[:, : 1 << i] ^ rows[:, i, None]
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _jump_table(j: int) -> np.ndarray:
+    """The xoshiro256** state update applied ``2**j`` times, as a byte table.
+
+    Built by exact XOR arithmetic: for ``2**0`` steps each bit's image is
+    ``Rng.next_u64`` run on the state with only that bit set, and each later
+    table is the one before applied to its own bit images (a squaring).
+    """
+    if j == 0:
+        unit = Rng.__new__(Rng)
+        rows = []
+        for b in range(256):
+            words = [0, 0, 0, 0]
+            words[b // 64] = 1 << (b % 64)
+            unit._s = words
+            unit.next_u64()
+            rows.append(unit._s)
+        rows = np.array(rows, dtype=np.uint64)
+    else:
+        half = _jump_table(j - 1)
+        rows = _gf2_apply(half, half[:, 1 << np.arange(8)].reshape(256, 4))
+    table = _byte_table(rows)
+    table.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------

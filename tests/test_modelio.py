@@ -1,10 +1,11 @@
+import hashlib
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from signet import models, modelio
+from signet import cli, models, modelio
 from signet.data import PreprocessConfig
 from signet.tensor import Rng
 
@@ -56,6 +57,17 @@ class TestSave:
         with pytest.raises(modelio.IncompleteParamsError):
             modelio.save_model(spec, params, cfg, ["only_one"], str(tmp_path / "x.slm"))
 
+    def test_seeded_cnn3d_file_golden_digest(self, tmp_path):
+        # Digest of the file written before Rng.uniforms was vectorised: the
+        # seeded initial weights and the SLM1 bytes must not change.
+        spec = models.build("cnn3d", (35, 64, 64, 1), 4)
+        params = models.init_model(spec, Rng(7))
+        path = tmp_path / "cnn3d.slm"
+        modelio.save_model(spec, params, PreprocessConfig(64, 64, 1, 35), ["a", "b", "c", "d"],
+                           str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "139718d062ea8510e4617fbec9150cdf17e03c209ff96a5dcd6ad332129d0a08"
+
 
 class TestLoad:
     def test_round_trip_bit_identical_params_and_metadata(self, saved):
@@ -88,6 +100,18 @@ class TestLoad:
         assert again.read_bytes() == open(path, "rb").read()
 
 
+def _with_header(path, mutate) -> bytes:
+    """The file at path with its JSON header replaced by mutate(header)."""
+    raw = open(path, "rb").read()
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    header = mutate(json.loads(raw[8 : 8 + hlen]))
+    hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    prefix = b"SLM1" + struct.pack("<I", len(hb)) + hb
+    pad = ((len(prefix) + 7) & ~7) - len(prefix)
+    payload_start = (8 + hlen + 7) & ~7
+    return prefix + b"\x00" * pad + raw[payload_start:]
+
+
 class TestRejection:
     def test_bad_magic(self, saved, tmp_path):
         path, *_ = saved
@@ -100,18 +124,41 @@ class TestRejection:
 
     def test_unsupported_version(self, saved, tmp_path):
         path, *_ = saved
-        raw = open(path, "rb").read()
-        (hlen,) = struct.unpack("<I", raw[4:8])
-        header = json.loads(raw[8 : 8 + hlen])
-        header["format_version"] = 2
-        hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        prefix = b"SLM1" + struct.pack("<I", len(hb)) + hb
-        pad = ((len(prefix) + 7) & ~7) - len(prefix)
-        payload_start = (8 + hlen + 7) & ~7
         bad = tmp_path / "v2.slm"
-        bad.write_bytes(prefix + b"\x00" * pad + raw[payload_start:])
+        bad.write_bytes(_with_header(path, lambda h: {**h, "format_version": 2}))
         with pytest.raises(modelio.UnsupportedVersionError):
             modelio.load_model(str(bad))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda h: [h],
+            lambda h: {**h, "tensors": [{k: v for k, v in e.items() if k != "offset"}
+                                        for e in h["tensors"]]},
+            lambda h: {**h, "tensors": [{**e, "length": str(e["length"])} for e in h["tensors"]]},
+            lambda h: {**h, "tensors": {"name": "layer0"}},
+            lambda h: {**h, "architecture": "resnet"},
+            lambda h: {**h, "input_shape": 6},
+            lambda h: {**h, "input_shape": [6, 16, 16, 0]},
+            lambda h: {**h, "input_shape": [10**30, 16, 16, 1]},
+            lambda h: {**h, "layers": ["dense"]},
+            lambda h: {**h, "layers": [{**h["layers"][0], "colour": 1}] + h["layers"][1:]},
+            lambda h: {**h, "preprocess": {**h["preprocess"], "channels": 2}},
+            lambda h: {**h, "class_names": "alpha"},
+        ],
+        ids=["array", "no_offset", "str_length", "tensors_object", "unknown_arch",
+             "int_input_shape", "zero_extent", "huge_extent", "layer_not_object",
+             "unknown_layer_key", "bad_preprocess", "str_class_names"],
+    )
+    def test_malformed_header_is_a_format_error(self, saved, tmp_path, capsys, mutate):
+        path, *_ = saved
+        bad = tmp_path / "bad.slm"
+        bad.write_bytes(_with_header(path, mutate))
+        with pytest.raises(modelio.ModelFormatError):
+            modelio.load_model(str(bad))
+        rc = cli.main(["predict", "--model", str(bad), "--clip", str(tmp_path / "none")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_truncated_payload(self, saved, tmp_path):
         path, *_ = saved

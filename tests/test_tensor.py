@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,10 +23,44 @@ class TestRng:
         assert [a.next_u64() for _ in range(50)] == [b.next_u64() for _ in range(50)]
 
     def test_uniforms_match_single_draws(self):
-        a, b = Rng(9), Rng(9)
-        batch = a.uniforms(200)
-        singles = np.array([b.uniform() for _ in range(200)])
-        assert np.array_equal(batch, singles)
+        # Lane lengths m (pinned below): 1 for n < 32, 4 for 200, 8 for
+        # 1023..1025, 16 for 4097, 64 for 65_539. So 1024 is 128 full lanes,
+        # 1023 ends on a partial lane and 1025 on a one-draw lane.
+        for n in (0, 1, 2, 3, 200, 1023, 1024, 1025, 4097, 65_539):
+            a, b = Rng(9), Rng(9)
+            batch = a.uniforms(n)
+            singles = np.array([b.uniform() for _ in range(n)], dtype=np.float64)
+            assert batch.shape == (n,)
+            assert batch.view(np.uint64).tobytes() == singles.view(np.uint64).tobytes(), n
+            assert a._s == b._s, n
+
+    def test_lane_lengths_cover_the_boundaries(self):
+        sizes = (1, 2, 3, 31, 200, 1023, 1024, 1025, 4097, 65_539)
+        assert [tn._lane_length(n) for n in sizes] == [1, 1, 1, 1, 4, 8, 8, 8, 16, 64]
+
+    def test_interleaved_calls_follow_one_stream(self):
+        a, b = Rng(21), Rng(21)
+        got = [a.uniforms(300).tolist(), a.next_u64(), a.randbelow(10),
+               a.shuffle(list(range(9))), a.uniforms(77).tolist()]
+        want = [[b.uniform() for _ in range(300)], b.next_u64(), b.randbelow(10),
+                b.shuffle(list(range(9))), [b.uniform() for _ in range(77)]]
+        assert got == want
+        assert a._s == b._s
+
+    @pytest.mark.parametrize("j", [0, 1, 2, 5])
+    def test_jump_table_equals_scalar_steps(self, j):
+        r = Rng(4)
+        start = np.array([r._s], dtype=np.uint64)
+        jumped = tn._gf2_apply(tn._jump_table(j), start)
+        for _ in range(2**j):
+            r.next_u64()
+        assert [int(w) for w in jumped[0]] == r._s
+
+    def test_uniforms_golden_digest(self):
+        # Digest of the stream as drawn one value at a time before uniforms
+        # was vectorised; pins the values, not only run-to-run agreement.
+        digest = hashlib.sha256(Rng(0).uniforms(300_001).tobytes()).hexdigest()
+        assert digest == "01c84cce3c18f3db8e6e8c8afd182e255196962ea7ea8dc23051c092a2f0cd8f"
 
     def test_seeding_matches_published_splitmix64_vector(self):
         # The four state words for seed 0 are the first four reference
