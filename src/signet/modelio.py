@@ -268,5 +268,5 @@ def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, 
     for entry, plan in zip(table, plans):
         raw = payload[entry["offset"] : entry["offset"] + entry["length"]]
         arr = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(plan.shape)
-        store.add(plan.name, Tensor(arr.copy(), requires_grad=True), trainable=plan.trainable)
+        store.add(plan.name, Tensor(arr.copy()), trainable=plan.trainable)
     return spec, store, preprocess, class_names

@@ -138,8 +138,9 @@ def build_cnn_rnn_lstm(
     """Per-frame CNN features into a simple RNN, then an LSTM classifier head.
 
     With ``feature_extractor_trainable=False`` (the default) the wrapped
-    CNN keeps its seeded random initial weights: the optimizer sees their
-    gradients but never applies them. The frozen extractor stands in for the
+    CNN keeps its seeded random initial weights. Its parameters need no
+    gradient, so a training step never records the extractor on the tape
+    and the optimizer skips it. The frozen extractor stands in for the
     paper's pretrained transfer-learning front end, since no pretrained
     weights ship with signet.
     """

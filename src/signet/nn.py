@@ -141,8 +141,9 @@ class ParameterStore:
     """Named parameter tensors with a per-parameter trainable mask.
 
     Iteration order is insertion order and is the canonical order for
-    initialization draws and serialization. Frozen parameters still
-    receive gradients; optimizers must skip updating them.
+    initialization draws and serialization. ``add`` sets each tensor's
+    ``requires_grad`` from its trainable flag, so frozen parameters are
+    never recorded on a tape and never receive gradients.
     """
 
     def __init__(self):
@@ -152,8 +153,9 @@ class ParameterStore:
     def add(self, name: str, t: Tensor, trainable: bool = True) -> None:
         if name in self._params:
             raise ShapeError(f"duplicate parameter name {name!r}")
+        t.requires_grad = bool(trainable)
         self._params[name] = t
-        self._trainable[name] = bool(trainable)
+        self._trainable[name] = t.requires_grad
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -506,7 +508,7 @@ def init_params(
             data[units : 2 * units] = 1.0  # forget gate opens fully at step 0
         else:  # pragma: no cover
             raise ShapeError(f"unknown init {plan.init!r}")
-        store.add(plan.name, Tensor(data, requires_grad=True), trainable=plan.trainable)
+        store.add(plan.name, Tensor(data), trainable=plan.trainable)
     return store
 
 

@@ -731,11 +731,15 @@ def _conv_forward(x, w, b, pads, strides, outs):
     return out.reshape(tuple(outs) + (w.shape[-1],)).astype(x.dtype), xp.shape, cols
 
 
-def _conv_backward(gout, dtype, cin, w, xp_shape, cols, pads, strides, outs):
+def _conv_backward(gout, dtype, cin, w, xp_shape, cols, pads, strides, outs, need_gx):
     """Gradients for input, kernel, bias, contracted in the working dtype.
 
     Gradient kernels only need run-to-run determinism, not the forward
     path's 64-bit accumulation, so they stay in the tensors' own dtype.
+    The input gradient (a GEMM plus one scatter per kernel offset) is
+    computed only when ``need_gx`` is set and is None otherwise, so a conv
+    on a gradient-free input such as a raw clip pays for the kernel and
+    bias gradients alone.
     """
     n = len(outs)
     k_sp = w.shape[:n]
@@ -745,6 +749,8 @@ def _conv_backward(gout, dtype, cin, w, xp_shape, cols, pads, strides, outs):
     gw = (cols.T @ gmat).reshape(w.shape)
 
     gb = gmat.sum(axis=0)
+    if not need_gx:
+        return None, gw, gb
 
     # Scatter grad columns back onto the padded input. For a fixed kernel
     # offset the strided destination cells are disjoint, so each += below
@@ -782,11 +788,10 @@ def _conv_nd(x: Tensor, kernel: Tensor, bias, padding, stride, ndim: int, op: st
     dtype, cin, kd = x.data.dtype, x.shape[-1], kernel.data
 
     def bw(g):
-        gx, gw, gb = _conv_backward(g, dtype, cin, kd, xp_shape, cols, pads, strides, outs)
-        grads = [
-            gx if x.requires_grad else None,
-            gw if kernel.requires_grad else None,
-        ]
+        gx, gw, gb = _conv_backward(
+            g, dtype, cin, kd, xp_shape, cols, pads, strides, outs, x.requires_grad
+        )
+        grads = [gx, gw if kernel.requires_grad else None]
         if bias is not None:
             grads.append(gb if bias.requires_grad else None)
         return tuple(grads)

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signet import data
 from signet.data import DatasetError, PreprocessConfig
@@ -207,3 +208,38 @@ class TestLoadDataset:
         (clip / "frame_000.pgm").write_bytes(b"P5\n4 4\n255\n")
         with pytest.raises(DatasetError):
             data.load_clip(str(clip), PreprocessConfig(4, 4, 1, 2))
+
+
+class TestNetpbmFuzz:
+    """Hostile frame bytes make decode_netpbm raise DatasetError and nothing else."""
+
+    @staticmethod
+    def _decode(raw):
+        try:
+            data.decode_netpbm(raw)
+        except DatasetError:
+            pass
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes(self, raw):
+        self._decode(raw)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([b"P5", b"P6"]),
+        st.text(alphabet=" \t\n#0123456789-+_.e", max_size=40),
+        st.binary(max_size=32),
+    )
+    def test_header_like_bytes(self, magic, header, payload):
+        self._decode(magic + header.encode() + payload)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), st.integers(1, 5), st.sampled_from([b"P5", b"P6"]), st.data())
+    def test_truncated_frames(self, width, height, magic, draw):
+        channels = 1 if magic == b"P5" else 3
+        raw = magic + b"\n%d %d\n255\n" % (width, height) + bytes(width * height * channels)
+        data.decode_netpbm(raw)
+        cut = draw.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(DatasetError):
+            data.decode_netpbm(raw[:cut])

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from signet import cli, models, modelio
 from signet.data import PreprocessConfig
@@ -196,3 +197,35 @@ class TestChecksum:
         assert modelio._fnv1a64(b"") == 0xCBF29CE484222325
         assert modelio._fnv1a64(b"a") == 0xAF63DC4C8601EC8C
         assert modelio._fnv1a64(b"foobar") == 0x85944171F73967E8
+
+
+class TestFileFuzz:
+    """Damaged model files make load_model raise ModelFormatError and nothing else."""
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_single_byte_mutations(self, saved, tmp_path_factory, draw):
+        path, *_ = saved
+        raw = bytearray(open(path, "rb").read())
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        # Half the draws land in the magic, length or JSON header, which the
+        # payload checksum does not cover.
+        pos = draw.draw(st.one_of(st.integers(0, 8 + hlen - 1), st.integers(0, len(raw) - 1)))
+        raw[pos] ^= draw.draw(st.integers(1, 255))
+        mutated = tmp_path_factory.getbasetemp() / "mutated.slm"
+        mutated.write_bytes(bytes(raw))
+        try:
+            modelio.load_model(str(mutated))
+        except modelio.ModelFormatError:
+            pass
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_truncations(self, saved, tmp_path_factory, draw):
+        path, *_ = saved
+        raw = open(path, "rb").read()
+        cut = draw.draw(st.integers(0, len(raw) - 1))
+        short = tmp_path_factory.getbasetemp() / "truncated.slm"
+        short.write_bytes(raw[:cut])
+        with pytest.raises(modelio.ModelFormatError):
+            modelio.load_model(str(short))

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from signet import nn, tensor as tn
+from signet import modelio, models, nn, train, tensor as tn
+from signet.data import PreprocessConfig
 from signet.nn import LayerConfig, ParameterStore
 from signet.tensor import Rng, ShapeError, Tensor
 
@@ -329,6 +330,61 @@ class TestInitParams:
         store = nn.init_params(layers, (4, 5), Rng(0))
         assert not store.is_trainable("layer0_time_distributed/td0_dense/kernel")
         assert store.is_trainable("layer1_dense/kernel")
+
+
+class TestFrozenParameters:
+    """Frozen parameters need no gradient, so the tape never records them."""
+
+    SHAPE = (6, 16, 16, 1)
+
+    def _frozen(self):
+        spec = models.build("cnn_rnn_lstm", self.SHAPE, 3, feature_extractor_trainable=False)
+        return spec, models.init_model(spec, Rng(3))
+
+    def _step(self, spec, store):
+        clip = Tensor(np.random.default_rng(8).uniform(0, 1, self.SHAPE).astype(np.float32))
+        truth = np.eye(3, dtype=np.float32)[[1]]
+        store.zero_grads()
+        with tn.record() as tape:
+            probs = models.forward(spec, store, clip, train=True, rng=Rng(5))
+            loss = train.categorical_crossentropy(tn.reshape(probs, (1, 3)), truth)
+        tape.backward(loss)
+        return tape, loss
+
+    def test_requires_grad_follows_trainable(self, tmp_path):
+        spec, store = self._frozen()
+        path = tmp_path / "frozen.slm"
+        modelio.save_model(spec, store, PreprocessConfig(16, 16, 1, 6), ["a", "b", "c"],
+                           str(path))
+        _, loaded, _, _ = modelio.load_model(str(path))
+        for s in (store, loaded):
+            flags = {name: t.requires_grad for name, t in s.items()}
+            assert flags == {name: s.is_trainable(name) for name in s.names()}
+            assert any(flags.values()) and not all(flags.values())
+
+    def test_frozen_parameters_never_taped(self):
+        spec, store = self._frozen()
+        frozen = {id(t) for name, t in store.items() if not store.is_trainable(name)}
+        tape, _ = self._step(spec, store)
+        assert frozen
+        assert not any(id(t) in frozen for node in tape.nodes for t in node.inputs)
+        for name, t in store.items():
+            assert (t.grad is not None) == store.is_trainable(name), name
+
+    def test_trainable_gradients_match_fully_taped_store(self):
+        spec, pruned = self._frozen()
+        taped = ParameterStore()
+        for name, t in pruned.items():
+            taped.add(name, Tensor(t.data.copy()), trainable=pruned.is_trainable(name))
+        for _, t in taped.items():
+            t.requires_grad = True  # tape the frozen extractor as well
+        short, loss_short = self._step(spec, pruned)
+        full, loss_full = self._step(spec, taped)
+        assert len(short.nodes) < len(full.nodes)
+        assert loss_short.data.tobytes() == loss_full.data.tobytes()
+        for name in pruned.names():
+            if pruned.is_trainable(name):
+                assert pruned[name].grad.tobytes() == taped[name].grad.tobytes(), name
 
 
 class TestLayerGradients:

@@ -355,6 +355,37 @@ class TestBackward:
         lb, xb, kb = run()
         assert np.array_equal(la, lb) and np.array_equal(xa, xb) and np.array_equal(ka, kb)
 
+    @pytest.mark.parametrize(
+        "op, x_shape, k_shape, padding, stride",
+        [
+            (tn.conv2d, (7, 6, 2), (3, 3, 2, 4), "same", 1),
+            (tn.conv2d, (9, 8, 3), (3, 2, 3, 2), "valid", (2, 1)),
+            (tn.conv3d, (4, 6, 5, 2), (3, 3, 3, 2, 3), "same", 1),
+            (tn.conv3d, (5, 7, 6, 1), (2, 3, 3, 1, 2), "valid", 2),
+        ],
+    )
+    def test_conv_on_gradient_free_input(self, op, x_shape, k_shape, padding, stride):
+        # Skipping the input gradient must not move the kernel or bias bits.
+        rng = np.random.default_rng(12)
+        xv = rng.uniform(-1, 1, x_shape).astype(np.float32)
+        kv = rng.uniform(-1, 1, k_shape).astype(np.float32)
+        bv = rng.uniform(-1, 1, k_shape[-1]).astype(np.float32)
+
+        def run(x_needs_grad):
+            x = Tensor(xv, requires_grad=x_needs_grad)
+            k, b = Tensor(kv, requires_grad=True), Tensor(bv, requires_grad=True)
+            with tn.record() as tape:
+                y = op(x, k, b, padding=padding, stride=stride)
+                loss = tn.reduce_sum(tn.mul(y, y))
+            tape.backward(loss)
+            return x.grad, k.grad, b.grad
+
+        xa, ka, ba = run(True)
+        xb, kb, bb = run(False)
+        assert xa is not None and xb is None
+        assert ka.tobytes() == kb.tobytes()
+        assert ba.tobytes() == bb.tobytes()
+
 
 class TestGradCheck:
     def test_constant_gradient(self):

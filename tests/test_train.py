@@ -1,10 +1,15 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from signet import data, models, train, tensor as tn
+from signet import data, modelio, models, train, tensor as tn
 from signet.nn import ParameterStore
 from signet.tensor import Rng, Tensor
 from signet.train import AdamState, TrainingConfig, TrainingError
@@ -188,6 +193,23 @@ class TestFit:
                 moved.append(not same)
         assert any(moved)
 
+    def test_frozen_fit_golden_digest(self, tmp_path):
+        # Digests taken while the frozen extractor was still recorded on the
+        # tape: pruning it must leave the saved model and history unchanged.
+        root = tmp_path / "corpus"
+        data.generate_synthetic(str(root), 2, 5, frames=6, size=(16, 16), seed=5)
+        cfg = data.PreprocessConfig(16, 16, 1, 6)
+        manifest = data.load_dataset(str(root), cfg, seed=5)
+        spec = models.build("cnn_rnn_lstm", (6, 16, 16, 1), 2,
+                            feature_extractor_trainable=False)
+        params, history = train.fit(spec, manifest, _small_cfg(max_epochs=2))
+        path = tmp_path / "frozen.slm"
+        modelio.save_model(spec, params, cfg, manifest.class_names, str(path))
+        model_digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        history_digest = hashlib.sha256(history.to_csv().encode()).hexdigest()
+        assert model_digest == "2c710976947fd130bc04b315e6f0b6b25136fa071cc68134407278f31a121a08"
+        assert history_digest == "edb04ec3aa26356283f9205041e90adbebd9a2c15e2cb4497f7e68583eaa0d3d"
+
     def test_poisoned_validation_labels_leave_weights_unchanged(self, small_manifest):
         import copy
 
@@ -242,3 +264,49 @@ class TestFit:
         lines = h.to_csv().splitlines()
         assert lines[0] == "epoch,train_loss,train_accuracy,val_loss,val_accuracy"
         assert lines[1] == "1,1.23457,0.5,0.999999,0.25"
+
+
+_STEP_DIGESTS = """
+import ctypes, glob, hashlib, os, sys
+import numpy as np
+from signet import models, train, tensor as tn
+from signet.tensor import Rng, Tensor
+
+libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                              "libscipy_openblas*"))
+print(ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_() if libs else "unknown")
+shape = (8, 64, 64, 1)
+clip = Tensor(Rng(3).uniforms(int(np.prod(shape))).astype(np.float32).reshape(shape))
+for arch in sys.argv[1:]:
+    spec = models.build(arch, shape, 4)
+    params = models.init_model(spec, Rng(2))
+    with tn.record() as tape:
+        probs = models.forward(spec, params, clip, train=True, rng=Rng(4))
+        truth = np.eye(4, dtype=np.float32)[[2]]
+        loss = train.categorical_crossentropy(tn.reshape(probs, (1, 4)), truth)
+    tape.backward(loss)
+    digest = hashlib.sha256(loss.data.tobytes())
+    for name, t in params.items():
+        if params.is_trainable(name):
+            digest.update(t.grad.tobytes())
+    print(arch, digest.hexdigest())
+"""
+
+
+def test_training_step_bits_do_not_depend_on_blas_threads():
+    # 64x64 frames make the conv kernel-gradient GEMMs large enough for
+    # OpenBLAS to split them across threads.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _STEP_DIGESTS, *models.ARCHITECTURES],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        reported, *digests = proc.stdout.splitlines()
+        assert reported in (threads, "unknown")
+        assert len(digests) == len(models.ARCHITECTURES)
+        outputs.append(digests)
+    assert outputs[0] == outputs[1]
