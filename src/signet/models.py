@@ -34,8 +34,6 @@ __all__ = [
     "predict_probs",
 ]
 
-ARCHITECTURES = ("cnn_lstm", "cnn3d", "cnn_rnn_lstm", "cnn_td")
-
 DEFAULT_INPUT_SHAPE = (35, 64, 64, 1)
 
 
@@ -184,6 +182,8 @@ _BUILDERS = {
     "cnn_rnn_lstm": build_cnn_rnn_lstm,
     "cnn_td": build_cnn_td,
 }
+
+ARCHITECTURES = tuple(_BUILDERS)
 
 
 def build(

@@ -1,19 +1,29 @@
 """Layer library: dense, activations, recurrence, and parameter stores.
 
 Layers are pure functions of (parameters, input). ``LayerConfig`` describes
-one layer declaratively; ``trace_layers`` walks a config chain to validate
-shapes and enumerate parameter tensors, and ``apply_layers`` runs the same
-chain on data. Both walks visit layers in the same order, so parameter
+one layer declaratively. Each layer kind has one entry in ``_KINDS`` that
+holds its config check, its trace (output shape and parameters), its apply
+and its parameter suffixes. ``trace_layers`` walks a config chain through
+the traces to validate shapes and enumerate parameter tensors, and
+``apply_layers`` runs the chain on data through the applies. Both loops
+name a layer's parameters ``{prefix}{i}_{kind}/{suffix}``, so parameter
 names, initialization draws, and serialization stay aligned.
 
-Gate packing for the recurrent layers is (i, f, g, o) along the last axis
-of the packed kernels; serialized weights depend on this order.
+Entries look layer functions up when they run (``dense(...)``,
+``getattr(tn, cfg.kind)(...)``) instead of holding the function objects,
+so a tracer that swaps module attributes, such as ``perfbench/tracer.py``,
+sees every call.
+
+Gate packing for lstm and convlstm2d is (i, f, g, o) along the last axis
+of the packed kernels; serialized weights depend on this order, which
+``_lstm_cell`` alone decides.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,37 +46,20 @@ __all__ = [
     "apply_layers",
 ]
 
-LAYER_KINDS = (
-    "dense",
-    "relu",
-    "softmax",
-    "flatten",
-    "dropout",
-    "conv2d",
-    "conv3d",
-    "maxpool2d",
-    "maxpool3d",
-    "simple_rnn",
-    "lstm",
-    "convlstm2d",
-    "time_distributed",
-)
-
-RECURRENT_KINDS = ("simple_rnn", "lstm", "convlstm2d")
-
 
 @dataclass
 class LayerConfig:
     """Declarative description of one layer.
 
     Only the fields relevant to ``kind`` are consulted; the rest stay None.
+    A time_distributed layer's ``trainable`` flag covers every parameter it
+    wraps, so the wrapped layers that have parameters must carry the same flag.
     """
 
     kind: str
     units: int | None = None
     filters: int | None = None
     kernel_size: tuple | None = None
-    stride: tuple | int | None = None
     padding: str | None = None
     rate: float | None = None
     return_sequences: bool = False
@@ -74,32 +67,9 @@ class LayerConfig:
     wrapped: list["LayerConfig"] | None = None
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in _KINDS:
             raise ShapeError(f"unknown layer kind {self.kind!r}")
-        if self.kind == "dense" and (self.units is None or self.units < 1):
-            raise ShapeError("dense needs units >= 1")
-        if self.kind in ("conv2d", "conv3d"):
-            if self.filters is None or self.filters < 1:
-                raise ShapeError(f"{self.kind} needs filters >= 1")
-            if not self.kernel_size or any(k < 1 for k in self.kernel_size):
-                raise ShapeError(f"{self.kind} needs a positive kernel_size")
-        if self.kind in ("maxpool2d", "maxpool3d"):
-            if not self.kernel_size or any(k < 1 for k in self.kernel_size):
-                raise ShapeError(f"{self.kind} needs a positive window")
-        if self.kind == "dropout":
-            if self.rate is None or not (0.0 <= self.rate < 1.0):
-                raise ShapeError("dropout rate must lie in [0, 1)")
-        if self.kind in RECURRENT_KINDS and (self.units is None or self.units < 1):
-            raise ShapeError(f"{self.kind} needs units >= 1")
-        if self.kind == "convlstm2d":
-            if not self.kernel_size or any(k < 1 for k in self.kernel_size):
-                raise ShapeError("convlstm2d needs a positive kernel_size")
-        if self.kind == "time_distributed":
-            if not self.wrapped:
-                raise ShapeError("time_distributed must wrap at least one layer")
-            for cfg in self.wrapped:
-                if cfg.kind in RECURRENT_KINDS or cfg.kind == "time_distributed":
-                    raise ShapeError(f"time_distributed cannot wrap {cfg.kind}")
+        _KINDS[self.kind].check(self)
         if self.kernel_size is not None:
             self.kernel_size = tuple(int(k) for k in self.kernel_size)
 
@@ -111,11 +81,9 @@ class LayerConfig:
                 d[key] = v
         if self.kernel_size is not None:
             d["kernel_size"] = list(self.kernel_size)
-        if self.stride is not None:
-            d["stride"] = list(self.stride) if isinstance(self.stride, tuple) else self.stride
         if self.padding is not None:
             d["padding"] = self.padding
-        if self.kind in RECURRENT_KINDS:
+        if _KINDS[self.kind].recurrent:
             d["return_sequences"] = self.return_sequences
         if not self.trainable:
             d["trainable"] = False
@@ -128,8 +96,6 @@ class LayerConfig:
         kwargs = dict(d)
         if "kernel_size" in kwargs:
             kwargs["kernel_size"] = tuple(kwargs["kernel_size"])
-        if isinstance(kwargs.get("stride"), list):
-            kwargs["stride"] = tuple(kwargs["stride"])
         if "wrapped" in kwargs:
             kwargs["wrapped"] = [cls.from_dict(w) for w in kwargs["wrapped"]]
         kwargs.setdefault("trainable", True)
@@ -220,10 +186,16 @@ def dropout(x: Tensor, rate: float, train: bool, rng: Rng | None = None) -> Tens
     return tn.scale(tn.mul(x, Tensor(mask)), 1.0 / keep)
 
 
-def _split_gates(packed: Tensor, units: int, axis: int = -1):
-    """(i, f, g, o) slices from a packed 4*units axis."""
-    ax = packed.data.ndim - 1 if axis == -1 else axis
-    return tuple(tn.narrow(packed, ax, k * units, units) for k in range(4))
+def _lstm_cell(gates: Tensor, c: Tensor, units: int) -> tuple[Tensor, Tensor]:
+    """New (h, c) from gate pre-activations packed (i, f, g, o) on the last axis.
+
+    c' = f*c + i*g and h' = o*tanh(c'), with sigmoid i, f, o and tanh g.
+    """
+    ax = gates.data.ndim - 1
+    gi, gf, gg, go = (tn.narrow(gates, ax, k * units, units) for k in range(4))
+    i, f, g, o = tn.sigmoid(gi), tn.sigmoid(gf), tn.tanh(gg), tn.sigmoid(go)
+    c = tn.add(tn.mul(f, c), tn.mul(i, g))
+    return tn.mul(o, tn.tanh(c)), c
 
 
 def simple_rnn(
@@ -262,7 +234,7 @@ def lstm(
     """Standard LSTM over a (T, D) sequence.
 
     Gates i, f, g, o come from one packed (D, 4U) kernel and (U, 4U)
-    recurrent kernel; c' = f*c + i*g and h' = o*tanh(c').
+    recurrent kernel; ``_lstm_cell`` applies them.
     """
     steps, dim = seq.shape
     units = recurrent_kernel.shape[0]
@@ -281,10 +253,7 @@ def lstm(
         gates = tn.add(
             tn.add(tn.matmul(x_t, kernel), tn.matmul(h, recurrent_kernel)), brow
         )
-        gi, gf, gg, go = _split_gates(gates, units)
-        i, f, g, o = tn.sigmoid(gi), tn.sigmoid(gf), tn.tanh(gg), tn.sigmoid(go)
-        c = tn.add(tn.mul(f, c), tn.mul(i, g))
-        h = tn.mul(o, tn.tanh(c))
+        h, c = _lstm_cell(gates, c, units)
         outputs.append(tn.reshape(h, (units,)))
     if return_sequences:
         return tn.stack(outputs, axis=0)
@@ -323,10 +292,7 @@ def convlstm2d(
             tn.conv2d(x_t, kernel, bias, padding="same", stride=1),
             tn.conv2d(h, recurrent_kernel, None, padding="same", stride=1),
         )
-        gi, gf, gg, go = _split_gates(gates, units)
-        i, f, g, o = tn.sigmoid(gi), tn.sigmoid(gf), tn.tanh(gg), tn.sigmoid(go)
-        c = tn.add(tn.mul(f, c), tn.mul(i, g))
-        h = tn.mul(o, tn.tanh(c))
+        h, c = _lstm_cell(gates, c, units)
         outputs.append(h)
     if return_sequences:
         return tn.stack(outputs, axis=0)
@@ -349,7 +315,7 @@ def time_distributed(apply_frame, seq: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Config-driven trace / init / apply
+# Layer registry and the config-driven trace / init / apply loops
 # ---------------------------------------------------------------------------
 
 
@@ -359,22 +325,165 @@ class ParamPlan:
     shape: tuple
     trainable: bool
     init: str  # glorot | zeros | gate_bias
-    fan_in: int = 0
-    fan_out: int = 0
 
 
-def _conv_out_shape(in_sp, k_sp, stride, padding, kind):
-    strides = tn._norm_stride(stride if stride is not None else 1, len(k_sp))
-    _, outs = tn._conv_geometry(in_sp, k_sp, strides, padding or "valid")
-    return outs
+class _Kind(NamedTuple):
+    """One layer kind.
+
+    ``check(cfg)`` rejects a bad config. ``trace(cfg, shape)`` returns the
+    output shape and the parameters as (suffix, shape, init) triples.
+    ``apply(cfg, x, params, train, rng, store, name)`` runs the layer, with
+    ``params`` fetched from the store in ``params`` suffix order.
+    """
+
+    apply: Callable
+    trace: Callable = lambda cfg, shape: (shape, [])
+    check: Callable = lambda cfg: None
+    params: tuple = ()
+    recurrent: bool = False
 
 
-def _pool_out_shape(in_sp, window, stride, kind):
-    strides = tn._norm_stride(stride if stride is not None else window, len(window))
-    for size, w in zip(in_sp, window):
-        if w > size:
-            raise ShapeError(f"{kind}: window {window} does not fit input {in_sp}")
-    return tuple((size - w) // st + 1 for size, w, st in zip(in_sp, window, strides))
+def _check_units(cfg: LayerConfig) -> None:
+    if cfg.units is None or cfg.units < 1:
+        raise ShapeError(f"{cfg.kind} needs units >= 1")
+
+
+def _check_kernel(cfg: LayerConfig, nd: int) -> None:
+    k = cfg.kernel_size
+    if not k or len(k) != nd or any(e < 1 for e in k):
+        raise ShapeError(f"{cfg.kind} needs a positive kernel_size of {nd} extents")
+
+
+def _check_rank(cfg: LayerConfig, shape: tuple, rank: int) -> None:
+    if len(shape) != rank:
+        raise ShapeError(f"{cfg.kind} needs {rank}-d input, got {shape}")
+
+
+def _check_rate(cfg: LayerConfig) -> None:
+    if cfg.rate is None or not (0.0 <= cfg.rate < 1.0):
+        raise ShapeError("dropout rate must lie in [0, 1)")
+
+
+def _trace_dense(cfg, shape):
+    if len(shape) < 1:
+        raise ShapeError("dense needs at least one axis")
+    k, n = shape[-1], cfg.units
+    return shape[:-1] + (n,), [("kernel", (k, n), "glorot"), ("bias", (n,), "zeros")]
+
+
+def _conv(nd: int) -> _Kind:
+    """conv2d (nd=2) or conv3d (nd=3) at stride 1, valid or same padding."""
+
+    def check(cfg):
+        if cfg.filters is None or cfg.filters < 1:
+            raise ShapeError(f"{cfg.kind} needs filters >= 1")
+        _check_kernel(cfg, nd)
+
+    def trace(cfg, shape):
+        _check_rank(cfg, shape, nd + 1)
+        _, outs = tn._conv_geometry(shape[:-1], cfg.kernel_size, (1,) * nd, cfg.padding or "valid")
+        cin, cout = shape[-1], cfg.filters
+        kernel = ("kernel", cfg.kernel_size + (cin, cout), "glorot")
+        return outs + (cout,), [kernel, ("bias", (cout,), "zeros")]
+
+    def apply(cfg, x, params, *_):
+        return getattr(tn, cfg.kind)(x, *params, padding=cfg.padding or "valid")
+
+    return _Kind(apply, trace, check, ("kernel", "bias"))
+
+
+def _maxpool(nd: int) -> _Kind:
+    """maxpool2d (nd=2) or maxpool3d (nd=3) with the stride equal to the window."""
+
+    def trace(cfg, shape):
+        _check_rank(cfg, shape, nd + 1)
+        _, outs = tn._pool_geometry(shape[:-1], cfg.kernel_size, None, cfg.kind)
+        return outs + shape[-1:], []
+
+    def apply(cfg, x, *_):
+        return getattr(tn, cfg.kind)(x, cfg.kernel_size)
+
+    return _Kind(apply, trace, lambda cfg: _check_kernel(cfg, nd))
+
+
+def _recurrent(gates: int, bias_init: str, nd: int = 0) -> _Kind:
+    """simple_rnn (1 gate) or lstm (4 gates) over (T, D); convlstm2d with nd=2.
+
+    Kernels are (k..., Cin, gates*U) and (k..., U, gates*U), where the
+    spatial kernel extents k are empty unless nd > 0.
+    """
+
+    def check(cfg):
+        _check_units(cfg)
+        if nd:
+            _check_kernel(cfg, nd)
+            if cfg.padding not in (None, "same"):
+                raise ShapeError(f"{cfg.kind} supports same-padding only")
+
+    def trace(cfg, shape):
+        _check_rank(cfg, shape, nd + 2)
+        k_sp, u = (cfg.kernel_size if nd else ()), cfg.units
+        out = shape[:-1] if cfg.return_sequences else shape[1:-1]
+        return out + (u,), [
+            ("kernel", k_sp + (shape[-1], gates * u), "glorot"),
+            ("recurrent_kernel", k_sp + (u, gates * u), "glorot"),
+            ("bias", (gates * u,), bias_init),
+        ]
+
+    def apply(cfg, x, params, *_):
+        return globals()[cfg.kind](x, *params, return_sequences=cfg.return_sequences)
+
+    return _Kind(apply, trace, check, ("kernel", "recurrent_kernel", "bias"), recurrent=True)
+
+
+def _check_time_distributed(cfg):
+    if not cfg.wrapped:
+        raise ShapeError("time_distributed must wrap at least one layer")
+    for inner in cfg.wrapped:
+        kind = _KINDS[inner.kind]
+        if kind.recurrent or inner.kind == "time_distributed":
+            raise ShapeError(f"time_distributed cannot wrap {inner.kind}")
+        if kind.params and inner.trainable != cfg.trainable:
+            raise ShapeError(f"time_distributed and its {inner.kind} differ in trainable")
+
+
+def _trace_time_distributed(cfg, shape):
+    if len(shape) < 2:
+        raise ShapeError(f"time_distributed needs a leading time axis, got {shape}")
+    frame_out, plans = trace_layers(cfg.wrapped, shape[1:], prefix="td")
+    return shape[:1] + frame_out, [(p.name, p.shape, p.init) for p in plans]
+
+
+def _apply_time_distributed(cfg, x, params, train, rng, store, name):
+    return time_distributed(
+        lambda frame: apply_layers(cfg.wrapped, store, frame, train, rng, prefix=name + "td"), x
+    )
+
+
+_KINDS: dict[str, _Kind] = {
+    "dense": _Kind(
+        lambda cfg, x, p, *_: dense(x, *p), _trace_dense, _check_units, ("kernel", "bias")
+    ),
+    "relu": _Kind(lambda cfg, x, *_: relu(x)),
+    "softmax": _Kind(lambda cfg, x, *_: softmax(x)),
+    "flatten": _Kind(
+        lambda cfg, x, *_: tn.reshape(x, (x.numel,)),
+        lambda cfg, shape: ((int(np.prod(shape, dtype=np.int64)),), []),
+    ),
+    "dropout": _Kind(
+        lambda cfg, x, p, train, rng, *_: dropout(x, cfg.rate, train, rng), check=_check_rate
+    ),
+    "conv2d": _conv(2),
+    "conv3d": _conv(3),
+    "maxpool2d": _maxpool(2),
+    "maxpool3d": _maxpool(3),
+    "simple_rnn": _recurrent(1, "zeros"),
+    "lstm": _recurrent(4, "gate_bias"),
+    "convlstm2d": _recurrent(4, "gate_bias", nd=2),
+    "time_distributed": _Kind(
+        _apply_time_distributed, _trace_time_distributed, _check_time_distributed
+    ),
+}
 
 
 def trace_layers(
@@ -388,93 +497,9 @@ def trace_layers(
     shape = tuple(int(s) for s in input_shape)
     plans: list[ParamPlan] = []
     for i, cfg in enumerate(layers):
-        name = f"{prefix}{i}_{cfg.kind}"
-        if cfg.kind == "dense":
-            if len(shape) < 1:
-                raise ShapeError("dense needs at least one axis")
-            k, n = shape[-1], cfg.units
-            plans.append(ParamPlan(f"{name}/kernel", (k, n), cfg.trainable, "glorot", k, n))
-            plans.append(ParamPlan(f"{name}/bias", (n,), cfg.trainable, "zeros"))
-            shape = shape[:-1] + (n,)
-        elif cfg.kind in ("relu", "softmax", "dropout"):
-            pass
-        elif cfg.kind == "flatten":
-            shape = (int(np.prod(shape, dtype=np.int64)),)
-        elif cfg.kind in ("conv2d", "conv3d"):
-            nd = 2 if cfg.kind == "conv2d" else 3
-            if len(shape) != nd + 1:
-                raise ShapeError(f"{cfg.kind} needs {nd + 1}-d input, got {shape}")
-            k_sp = cfg.kernel_size
-            if len(k_sp) != nd:
-                raise ShapeError(f"{cfg.kind}: kernel_size {k_sp} must have {nd} extents")
-            cin, cout = shape[-1], cfg.filters
-            rf = int(np.prod(k_sp, dtype=np.int64))
-            plans.append(
-                ParamPlan(
-                    f"{name}/kernel", k_sp + (cin, cout), cfg.trainable, "glorot",
-                    rf * cin, rf * cout,
-                )
-            )
-            plans.append(ParamPlan(f"{name}/bias", (cout,), cfg.trainable, "zeros"))
-            outs = _conv_out_shape(shape[:-1], k_sp, cfg.stride, cfg.padding, cfg.kind)
-            shape = outs + (cout,)
-        elif cfg.kind in ("maxpool2d", "maxpool3d"):
-            nd = 2 if cfg.kind == "maxpool2d" else 3
-            if len(shape) != nd + 1:
-                raise ShapeError(f"{cfg.kind} needs {nd + 1}-d input, got {shape}")
-            outs = _pool_out_shape(shape[:-1], cfg.kernel_size, cfg.stride, cfg.kind)
-            shape = outs + (shape[-1],)
-        elif cfg.kind == "simple_rnn":
-            if len(shape) != 2:
-                raise ShapeError(f"simple_rnn needs (T, D) input, got {shape}")
-            t, d, u = shape[0], shape[1], cfg.units
-            plans.append(ParamPlan(f"{name}/kernel", (d, u), cfg.trainable, "glorot", d, u))
-            plans.append(
-                ParamPlan(f"{name}/recurrent_kernel", (u, u), cfg.trainable, "glorot", u, u)
-            )
-            plans.append(ParamPlan(f"{name}/bias", (u,), cfg.trainable, "zeros"))
-            shape = (t, u) if cfg.return_sequences else (u,)
-        elif cfg.kind == "lstm":
-            if len(shape) != 2:
-                raise ShapeError(f"lstm needs (T, D) input, got {shape}")
-            t, d, u = shape[0], shape[1], cfg.units
-            plans.append(ParamPlan(f"{name}/kernel", (d, 4 * u), cfg.trainable, "glorot", d, 4 * u))
-            plans.append(
-                ParamPlan(f"{name}/recurrent_kernel", (u, 4 * u), cfg.trainable, "glorot", u, 4 * u)
-            )
-            plans.append(ParamPlan(f"{name}/bias", (4 * u,), cfg.trainable, "gate_bias"))
-            shape = (t, u) if cfg.return_sequences else (u,)
-        elif cfg.kind == "convlstm2d":
-            if len(shape) != 4:
-                raise ShapeError(f"convlstm2d needs (T, H, W, C) input, got {shape}")
-            if cfg.padding not in (None, "same"):
-                raise ShapeError("convlstm2d supports same-padding only")
-            t, hgt, wid, cin = shape
-            u = cfg.units
-            kh, kw = cfg.kernel_size
-            rf = kh * kw
-            plans.append(
-                ParamPlan(
-                    f"{name}/kernel", (kh, kw, cin, 4 * u), cfg.trainable, "glorot",
-                    rf * cin, rf * 4 * u,
-                )
-            )
-            plans.append(
-                ParamPlan(
-                    f"{name}/recurrent_kernel", (kh, kw, u, 4 * u), cfg.trainable, "glorot",
-                    rf * u, rf * 4 * u,
-                )
-            )
-            plans.append(ParamPlan(f"{name}/bias", (4 * u,), cfg.trainable, "gate_bias"))
-            shape = (t, hgt, wid, u) if cfg.return_sequences else (hgt, wid, u)
-        elif cfg.kind == "time_distributed":
-            if len(shape) < 2:
-                raise ShapeError(f"time_distributed needs a leading time axis, got {shape}")
-            frame_out, sub = trace_layers(cfg.wrapped, shape[1:], prefix=f"{name}/td")
-            plans.extend(sub)
-            shape = (shape[0],) + frame_out
-        else:  # pragma: no cover - guarded by LayerConfig
-            raise ShapeError(f"unknown layer kind {cfg.kind!r}")
+        name = f"{prefix}{i}_{cfg.kind}/"
+        shape, params = _KINDS[cfg.kind].trace(cfg, shape)
+        plans += [ParamPlan(name + suffix, shp, cfg.trainable, init) for suffix, shp, init in params]
     return shape, plans
 
 
@@ -487,27 +512,27 @@ def init_params(
 ) -> ParameterStore:
     """Create a ParameterStore for a layer chain.
 
-    Kernels are Glorot-uniform with limit sqrt(6 / (fan_in + fan_out));
-    biases start at zero except the forget-gate slice of lstm/convlstm2d
+    Kernels are Glorot-uniform with limit sqrt(6 / (fan_in + fan_out)),
+    where fan_in and fan_out are the receptive field (the product of all
+    but the last two kernel axes) times the input and output channels.
+    Biases start at zero except the forget-gate slice of lstm/convlstm2d
     biases, which starts at 1. Draws consume the rng stream in plan order,
     so a given seed always produces the same store.
     """
     _, plans = trace_layers(layers, input_shape, prefix=prefix)
     store = ParameterStore()
     for plan in plans:
-        n = int(np.prod(plan.shape, dtype=np.int64))
         if plan.init == "glorot":
-            limit = math.sqrt(6.0 / (plan.fan_in + plan.fan_out))
-            values = (rng.uniforms(n) * 2.0 - 1.0) * limit
+            *window, cin, cout = plan.shape
+            rf = int(np.prod(window, dtype=np.int64))
+            limit = math.sqrt(6.0 / (rf * cin + rf * cout))
+            values = (rng.uniforms(rf * cin * cout) * 2.0 - 1.0) * limit
             data = values.astype(dtype).reshape(plan.shape)
-        elif plan.init == "zeros":
+        else:
             data = np.zeros(plan.shape, dtype=dtype)
-        elif plan.init == "gate_bias":
-            data = np.zeros(plan.shape, dtype=dtype)
-            units = plan.shape[0] // 4
-            data[units : 2 * units] = 1.0  # forget gate opens fully at step 0
-        else:  # pragma: no cover
-            raise ShapeError(f"unknown init {plan.init!r}")
+            if plan.init == "gate_bias":
+                units = plan.shape[0] // 4
+                data[units : 2 * units] = 1.0  # forget gate opens fully at step 0
         store.add(plan.name, Tensor(data), trainable=plan.trainable)
     return store
 
@@ -520,64 +545,13 @@ def apply_layers(
     rng: Rng | None = None,
     prefix: str = "layer",
 ) -> Tensor:
-    """Run a layer chain on one sample. Mirrors ``trace_layers`` exactly."""
+    """Run a layer chain on one sample.
+
+    Each layer runs through its kind's entry in ``_KINDS`` with the
+    parameters that ``trace_layers`` names for it, fetched from ``store``.
+    """
     for i, cfg in enumerate(layers):
-        name = f"{prefix}{i}_{cfg.kind}"
-        if cfg.kind == "dense":
-            x = dense(x, store[f"{name}/kernel"], store[f"{name}/bias"])
-        elif cfg.kind == "relu":
-            x = relu(x)
-        elif cfg.kind == "softmax":
-            x = softmax(x)
-        elif cfg.kind == "flatten":
-            x = tn.reshape(x, (x.numel,))
-        elif cfg.kind == "dropout":
-            x = dropout(x, cfg.rate, train, rng)
-        elif cfg.kind in ("conv2d", "conv3d"):
-            op = tn.conv2d if cfg.kind == "conv2d" else tn.conv3d
-            x = op(
-                x,
-                store[f"{name}/kernel"],
-                store[f"{name}/bias"],
-                padding=cfg.padding or "valid",
-                stride=cfg.stride if cfg.stride is not None else 1,
-            )
-        elif cfg.kind == "maxpool2d":
-            x = tn.maxpool2d(x, cfg.kernel_size, cfg.stride)
-        elif cfg.kind == "maxpool3d":
-            x = tn.maxpool3d(x, cfg.kernel_size, cfg.stride)
-        elif cfg.kind == "simple_rnn":
-            x = simple_rnn(
-                x,
-                store[f"{name}/kernel"],
-                store[f"{name}/recurrent_kernel"],
-                store[f"{name}/bias"],
-                return_sequences=cfg.return_sequences,
-            )
-        elif cfg.kind == "lstm":
-            x = lstm(
-                x,
-                store[f"{name}/kernel"],
-                store[f"{name}/recurrent_kernel"],
-                store[f"{name}/bias"],
-                return_sequences=cfg.return_sequences,
-            )
-        elif cfg.kind == "convlstm2d":
-            x = convlstm2d(
-                x,
-                store[f"{name}/kernel"],
-                store[f"{name}/recurrent_kernel"],
-                store[f"{name}/bias"],
-                return_sequences=cfg.return_sequences,
-            )
-        elif cfg.kind == "time_distributed":
-            wrapped, sub_prefix = cfg.wrapped, f"{name}/td"
-            x = time_distributed(
-                lambda frame: apply_layers(
-                    wrapped, store, frame, train=train, rng=rng, prefix=sub_prefix
-                ),
-                x,
-            )
-        else:  # pragma: no cover
-            raise ShapeError(f"unknown layer kind {cfg.kind!r}")
+        name = f"{prefix}{i}_{cfg.kind}/"
+        kind = _KINDS[cfg.kind]
+        x = kind.apply(cfg, x, [store[name + s] for s in kind.params], train, rng, store, name)
     return x

@@ -816,18 +816,21 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
 # ---------------------------------------------------------------------------
 
 
+def _pool_geometry(in_sp, window, stride, op: str):
+    """Strides and output extents of an unpadded pool; stride defaults to window."""
+    if len(window) != len(in_sp) or any(w < 1 for w in window):
+        raise ShapeError(f"{op}: bad window {window}")
+    strides = _norm_stride(window if stride is None else stride, len(in_sp))
+    if any(w > size for size, w in zip(in_sp, window)):
+        raise ShapeError(f"{op}: window {window} does not fit input {in_sp}")
+    return strides, tuple((size - w) // st + 1 for size, w, st in zip(in_sp, window, strides))
+
+
 def _maxpool_nd(x: Tensor, window, stride, ndim: int, op: str) -> Tensor:
     if x.data.ndim != ndim + 1:
         raise ShapeError(f"{op}: input must have {ndim + 1} dims, got {x.shape}")
     window = tuple(int(w) for w in window)
-    if len(window) != ndim or any(w < 1 for w in window):
-        raise ShapeError(f"{op}: bad window {window}")
-    strides = _norm_stride(window if stride is None else stride, ndim)
-    in_sp = x.shape[:ndim]
-    for size, w in zip(in_sp, window):
-        if w > size:
-            raise ShapeError(f"{op}: window {window} does not fit input {in_sp}")
-    outs = tuple((size - w) // st + 1 for size, w, st in zip(in_sp, window, strides))
+    strides, outs = _pool_geometry(x.shape[:ndim], window, stride, op)
     channels = x.shape[-1]
 
     view = _window_view(x.data, window, strides, outs)

@@ -144,12 +144,16 @@ class TestRejection:
             lambda h: {**h, "input_shape": [10**30, 16, 16, 1]},
             lambda h: {**h, "layers": ["dense"]},
             lambda h: {**h, "layers": [{**h["layers"][0], "colour": 1}] + h["layers"][1:]},
+            lambda h: {**h, "layers": [{**h["layers"][0], "wrapped": [
+                {**h["layers"][0]["wrapped"][0], "stride": [1, 1]},
+                *h["layers"][0]["wrapped"][1:],
+            ]}] + h["layers"][1:]},
             lambda h: {**h, "preprocess": {**h["preprocess"], "channels": 2}},
             lambda h: {**h, "class_names": "alpha"},
         ],
         ids=["array", "no_offset", "str_length", "tensors_object", "unknown_arch",
              "int_input_shape", "zero_extent", "huge_extent", "layer_not_object",
-             "unknown_layer_key", "bad_preprocess", "str_class_names"],
+             "unknown_layer_key", "stride_key", "bad_preprocess", "str_class_names"],
     )
     def test_malformed_header_is_a_format_error(self, saved, tmp_path, capsys, mutate):
         path, *_ = saved

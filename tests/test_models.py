@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from signet import models, nn
+from signet import modelio, models, nn, train, tensor as tn
+from signet.data import PreprocessConfig
 from signet.tensor import Rng, ShapeError, Tensor
 
 SMALL = (6, 16, 16, 1)
@@ -129,3 +132,77 @@ class TestDeterminism:
         params = models.init_model(spec, Rng(0))
         with pytest.raises(ShapeError):
             models.forward(spec, params, Tensor(np.zeros((3, 16, 16, 1), dtype=np.float32)))
+
+
+class TestGoldenDigests:
+    """Model bytes, outputs and one training step pinned before the layer registry.
+
+    Each case lists the sha256 of the saved SLM1 file, the sha256 of the
+    ``predict_probs`` bytes, the float32 loss bytes of one taped step, the
+    sha256 of the trainable gradients in store order, and the tape length.
+    """
+
+    CASES = {
+        ("cnn_lstm", False): (
+            "a093efec72f3394947cd57aa4716f1fd76f8e04e7363fb21b0040a47bf41085c",
+            "82964f08ae22d69c0efd112e1c648fd189a68b9d2e802e8a56f939577191dd01",
+            "2a667e3f",
+            "e0f8126587a51fcfe85c7b369bbf13e472dbfc0f7f33c7cf02cc3fec00a7912e",
+            111,
+        ),
+        ("cnn3d", False): (
+            "e85b6dcd1ecf12c76b6cbdd9063b17a9195f5314bc0ba8a9c61db4ea7c542a65",
+            "0efda70d12d3d0e28ca30c75284b3e3198eee364519ac19a449cb46135582c31",
+            "a66d9a3f",
+            "1458228f1067bc9952d11462e1571523779557ac53e2cd789736cd88158a8e70",
+            29,
+        ),
+        ("cnn_rnn_lstm", False): (
+            "2372dff9015ac71dcc1bd80f7f068e439a3e3e7238d575ca243c992ee4689a7e",
+            "7e7b750d3dc922a89d0625fcfae94d3d3b1eb517459f26f7da77a786e1e0f9bb",
+            "585fa73f",
+            "8b14a5278c1d0d8c19964d8a84faaf8b312e2e288929cd8ae2a636bef985ca42",
+            166,
+        ),
+        ("cnn_rnn_lstm", True): (
+            "7d67d160a9a958f741ebb4960c5d9fcaeef7f622f93c48c8db79fd31e0d933d8",
+            "7e7b750d3dc922a89d0625fcfae94d3d3b1eb517459f26f7da77a786e1e0f9bb",
+            "585fa73f",
+            "2b5d0205f3e80f3bb5881dd0a8e881d689f399ec68df78f0c6e5b196bdac2cfe",
+            251,
+        ),
+        ("cnn_td", False): (
+            "a0b75738719788e929983e39d3720104ea5bcda19b989a9c748197f47ae3cf9a",
+            "c9e3cf5636a535c8d492cd3926f12c6da80b094f6f957fb91a8c6cd2d1e881bc",
+            "5efc813f",
+            "d16d30e282d75497cddd4bf175f12364f08621941fe9f0b7844848414cd80b0e",
+            93,
+        ),
+    }
+
+    @pytest.mark.parametrize("arch,trainable", list(CASES), ids=lambda v: str(v))
+    def test_file_probs_and_step(self, arch, trainable, tmp_path):
+        spec = models.build(arch, SMALL, 3, feature_extractor_trainable=trainable)
+        params = models.init_model(spec, Rng(5))
+        path = tmp_path / "model.slm"
+        modelio.save_model(spec, params, PreprocessConfig(16, 16, 1, 6), ["a", "b", "c"],
+                           str(path))
+        clip = np.random.default_rng(0).uniform(0, 1, SMALL).astype(np.float32)
+        probs = models.predict_probs(spec, params, clip)
+        with tn.record() as tape:
+            out = models.forward(spec, params, Tensor(clip), train=True, rng=Rng(6))
+            truth = np.eye(3, dtype=np.float32)[[1]]
+            loss = train.categorical_crossentropy(tn.reshape(out, (1, 3)), truth)
+        tape.backward(loss)
+        grads = hashlib.sha256()
+        for name, t in params.items():
+            if params.is_trainable(name):
+                grads.update(t.grad.tobytes())
+        got = (
+            hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(probs.tobytes()).hexdigest(),
+            loss.data.tobytes().hex(),
+            grads.hexdigest(),
+            len(tape.nodes),
+        )
+        assert got == self.CASES[(arch, trainable)]

@@ -280,6 +280,14 @@ class TestLayerConfig:
         with pytest.raises(ShapeError):
             LayerConfig("attention")
 
+    def test_time_distributed_rejects_mixed_trainable(self):
+        # The wrapper's flag covers every wrapped parameter, so a wrapped
+        # layer with parameters may not claim a different one.
+        with pytest.raises(ShapeError):
+            LayerConfig("time_distributed",
+                        wrapped=[LayerConfig("dense", units=2, trainable=False)])
+        LayerConfig("time_distributed", wrapped=[LayerConfig("relu", trainable=False)])
+
 
 class TestInitParams:
     def test_dense_glorot_bound_and_zero_bias(self):
@@ -434,3 +442,86 @@ class TestLayerGradients:
             return tn.reduce_sum(tn.mul(out, out))
 
         self._check(loss, rng.uniform(-0.5, 0.5, n_wx + n_wh + n_b))
+
+
+def _seq(kind, **kw):
+    return [LayerConfig(kind, units=3, **kw)]
+
+
+# One case per layer kind (the first layer of each case), plus the paths a
+# builder never takes: dropout in train mode, valid padding, a (1, 2, 2)
+# pool window and return_sequences in both settings.
+_KIND_CASES = {
+    "dense": ((3, 5), [LayerConfig("dense", units=4)]),
+    "relu": ((2, 3), [LayerConfig("relu")]),
+    "softmax": ((4,), [LayerConfig("softmax")]),
+    "flatten": ((2, 3, 4), [LayerConfig("flatten")]),
+    "dropout_train": ((6, 2), [LayerConfig("dropout", rate=0.5)]),
+    "conv2d_valid": ((7, 6, 2), [LayerConfig("conv2d", filters=3, kernel_size=(3, 2))]),
+    "conv2d_same": ((5, 5, 1), [LayerConfig("conv2d", filters=2, kernel_size=(3, 3),
+                                            padding="same")]),
+    "conv3d": ((4, 5, 5, 1), [LayerConfig("conv3d", filters=2, kernel_size=(3, 3, 3),
+                                          padding="same")]),
+    "maxpool2d": ((6, 5, 2), [LayerConfig("maxpool2d", kernel_size=(2, 2))]),
+    "maxpool3d": ((3, 6, 6, 2), [LayerConfig("maxpool3d", kernel_size=(1, 2, 2))]),
+    "simple_rnn_seq": ((4, 2), _seq("simple_rnn", return_sequences=True)),
+    "simple_rnn_last": ((4, 2), _seq("simple_rnn")),
+    "lstm_seq": ((4, 2), _seq("lstm", return_sequences=True)),
+    "lstm_last": ((4, 2), _seq("lstm")),
+    "convlstm2d_seq": ((3, 4, 4, 2), _seq("convlstm2d", kernel_size=(3, 3),
+                                          return_sequences=True)),
+    "convlstm2d_last": ((3, 4, 4, 2), _seq("convlstm2d", kernel_size=(3, 3))),
+    "time_distributed": ((3, 6, 6, 1), [LayerConfig("time_distributed", wrapped=[
+        LayerConfig("conv2d", filters=2, kernel_size=(3, 3)),
+        LayerConfig("maxpool2d", kernel_size=(2, 2)),
+        LayerConfig("flatten"),
+        LayerConfig("dropout", rate=0.25),
+        LayerConfig("dense", units=3),
+    ])]),
+}
+
+
+class TestLayerRegistry:
+    """trace_layers, init_params and apply_layers agree for every layer kind."""
+
+    @pytest.mark.parametrize("case", list(_KIND_CASES))
+    def test_apply_shape_and_store_names_follow_trace(self, case):
+        input_shape, layers = _KIND_CASES[case]
+        out_shape, plans = nn.trace_layers(layers, input_shape)
+        store = nn.init_params(layers, input_shape, Rng(1))
+        assert store.names() == [p.name for p in plans]
+        x = t32(np.random.default_rng(0).uniform(-1, 1, input_shape))
+        out = nn.apply_layers(layers, store, x, train=True, rng=Rng(0))
+        assert out.shape == out_shape
+
+    def test_cases_cover_every_kind(self):
+        assert {layers[0].kind for _, layers in _KIND_CASES.values()} == set(nn._KINDS)
+
+    def test_layer_functions_are_looked_up_at_call_time(self, monkeypatch):
+        # perfbench/tracer.py swaps these module attributes to time each
+        # layer; an apply path that held the function objects would bypass it.
+        called = set()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                called.add(f"{module.__name__}.{name}")
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("dense", "simple_rnn", "lstm", "convlstm2d", "time_distributed"):
+            count(nn, name)
+        for name in ("conv2d", "conv3d", "maxpool2d", "maxpool3d"):
+            count(tn, name)
+        shape = (4, 8, 8, 1)
+        for arch in models.ARCHITECTURES:
+            spec = models.build(arch, shape, 3)
+            params = models.init_model(spec, Rng(0))
+            models.predict_probs(spec, params, np.zeros(shape, np.float32))
+        assert called == {
+            "signet.nn.dense", "signet.nn.simple_rnn", "signet.nn.lstm", "signet.nn.convlstm2d",
+            "signet.nn.time_distributed", "signet.tensor.conv2d", "signet.tensor.conv3d",
+            "signet.tensor.maxpool2d", "signet.tensor.maxpool3d",
+        }
