@@ -19,6 +19,7 @@ beyond the file. Saving the same model twice produces identical bytes.
 from __future__ import annotations
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -112,6 +113,7 @@ _HEADER_FIELDS = {
     "preprocess": lambda v: isinstance(v, dict),
     "layers": lambda v: isinstance(v, list) and all(isinstance(d, dict) for d in v),
     "tensors": lambda v: isinstance(v, list) and all(_is_tensor_entry(e) for e in v),
+    "payload_checksum_fnv1a64": lambda v: isinstance(v, str) and re.fullmatch("[0-9a-f]{16}", v),
 }
 
 
@@ -185,7 +187,8 @@ def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, 
     """Read an SLM1 file back into (spec, params, preprocess, class_names).
 
     Validates magic, version, the JSON types of the header fields, table
-    bounds, the payload checksum, and agreement between the stored layer
+    bounds, the payload checksum (which every file must carry), that every
+    stored weight is finite, and agreement between the stored layer
     configs and the architecture builder's output. Rejected contents raise
     a ``ModelFormatError``; a file that cannot be read raises ``OSError``.
     """
@@ -260,13 +263,14 @@ def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, 
             )
         prev_end = off + length
 
-    checksum = header.get("payload_checksum_fnv1a64")
-    if checksum is not None and f"{_fnv1a64(payload):016x}" != checksum:
+    if f"{_fnv1a64(payload):016x}" != header["payload_checksum_fnv1a64"]:
         raise ChecksumError(f"{path}: payload checksum mismatch")
 
     store = ParameterStore()
     for entry, plan in zip(table, plans):
         raw = payload[entry["offset"] : entry["offset"] + entry["length"]]
         arr = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(plan.shape)
-        store.add(plan.name, Tensor(arr.copy()), trainable=plan.trainable)
+        if not np.isfinite(arr).all():
+            raise ModelFormatError(f"{path}: tensor {plan.name!r} holds non-finite values")
+        store.add(plan.name, Tensor(arr), trainable=plan.trainable)
     return spec, store, preprocess, class_names

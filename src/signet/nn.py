@@ -145,13 +145,6 @@ class ParameterStore:
         for t in self._params.values():
             t.grad = None
 
-    def size(self, trainable_only: bool = False) -> int:
-        return sum(
-            t.numel
-            for name, t in self._params.items()
-            if not trainable_only or self._trainable[name]
-        )
-
 
 # ---------------------------------------------------------------------------
 # Layer functions

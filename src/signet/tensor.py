@@ -31,7 +31,6 @@ __all__ = [
     "Rng",
     "Tensor",
     "Tape",
-    "astensor",
     "record",
     "add",
     "sub",
@@ -290,18 +289,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
 
 
-def astensor(x, dtype=None, requires_grad: bool = False) -> Tensor:
-    """Wrap array-like data as a Tensor (float32 unless told otherwise)."""
-    if isinstance(x, Tensor):
-        return x
-    arr = np.asarray(x)
-    if dtype is not None:
-        arr = arr.astype(dtype)
-    elif arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float32)
-    return Tensor(arr, requires_grad=requires_grad)
-
-
 class _Node:
     __slots__ = ("inputs", "out", "bw")
 
@@ -494,11 +481,10 @@ def relu(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp(-|x|) never overflows; both halves are the same rational in it.
+    e = np.exp(-np.abs(x))
+    denom = 1.0 + e
+    out = np.where(x >= 0, 1.0 / denom, e / denom)
 
     def bw(g):
         return (g * out * (1.0 - out),)
@@ -591,12 +577,10 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 
 def _ordered_sum(x: np.ndarray, axis, keepdims: bool = False) -> np.ndarray:
-    """Sum with strictly ascending accumulation order along ``axis``."""
+    """Sum with strictly ascending accumulation order along ``axis``, or
+    over the flattened array when ``axis`` is None."""
     if axis is None:
-        flat = x.reshape(-1)
-        acc = np.add.accumulate(flat)
-        out = acc[-1:].reshape(())
-        return out.reshape((1,) * x.ndim) if keepdims else out
+        x, axis = x.reshape(-1), 0
     acc = np.add.accumulate(x, axis=axis)
     index = tuple(
         slice(-1, None) if i == (axis % x.ndim) else slice(None) for i in range(x.ndim)
@@ -632,25 +616,30 @@ def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
     return _result(out, (a,), bw, "reduce_mean")
 
 
-# Cap on the (M, K, N) product buffer used by the ordered matmul; above it
-# the contraction falls back to an equivalent explicit loop over K.
-_MATMUL_BUFFER_ELEMS = 1 << 24
+# Elements in one (M, chunk, N) product block of the ordered matmul. It sets
+# only the speed: every block size gives the same bits.
+_MATMUL_BLOCK_ELEMS = 1 << 16
 
 
 def _ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b with per-element accumulation strictly in ascending k order.
 
     Equivalent, bit for bit, to the scalar triple loop
-    ``for k: out[m, n] += a[m, k] * b[k, n]`` in the working dtype.
+    ``for k: out[m, n] += a[m, k] * b[k, n]`` in the working dtype. K is
+    folded in chunks of ``max(1, _MATMUL_BLOCK_ELEMS // (M * N))`` rows: each
+    chunk's products are summed in order by ``np.add.accumulate``, after the
+    running sum is added into the chunk's first product. IEEE addition is
+    commutative, so ``first + carry`` is the fold's next step exactly.
     """
     m, k = a.shape
     n = b.shape[1]
-    if m * k * n <= _MATMUL_BUFFER_ELEMS:
-        prod = a[:, :, None] * b[None, :, :]
-        return np.add.accumulate(prod, axis=1)[:, -1, :]
-    out = np.zeros((m, n), dtype=a.dtype)
-    for i in range(k):
-        out += a[:, i : i + 1] * b[i]
+    step = max(1, _MATMUL_BLOCK_ELEMS // (m * n))
+    out = None
+    for lo in range(0, k, step):
+        prod = a[:, lo : lo + step, None] * b[None, lo : lo + step, :]
+        if out is not None:
+            prod[:, 0] += out
+        out = np.add.accumulate(prod, axis=1)[:, -1]
     return out
 
 
@@ -731,18 +720,37 @@ def _conv_forward(x, w, b, pads, strides, outs):
     return out.reshape(tuple(outs) + (w.shape[-1],)).astype(x.dtype), xp.shape, cols
 
 
-def _conv_backward(gout, dtype, cin, w, xp_shape, cols, pads, strides, outs, need_gx):
+def _scatter_windows(cols: np.ndarray, shape, strides) -> np.ndarray:
+    """Adjoint of ``_window_view``: sum window cells (out..., k..., C) back
+    onto a zero array of ``shape``.
+
+    The loop runs over kernel offsets in ascending row-major order. For a
+    fixed offset the strided destination cells are disjoint, so each ``+=``
+    is overlap-free and the result is deterministic; a cell covered by
+    several windows receives their values in offset order.
+    """
+    n = len(strides)
+    outs, k_sp = cols.shape[:n], cols.shape[n : 2 * n]
+    out = np.zeros(shape, dtype=cols.dtype)
+    for offset in itertools.product(*(range(k) for k in k_sp)):
+        dst = tuple(
+            slice(offset[i], offset[i] + outs[i] * strides[i], strides[i]) for i in range(n)
+        )
+        out[dst] += cols[(slice(None),) * n + offset]
+    return out
+
+
+def _conv_backward(gout, cin, w, xp_shape, cols, pads, strides, outs, need_gx):
     """Gradients for input, kernel, bias, contracted in the working dtype.
 
     Gradient kernels only need run-to-run determinism, not the forward
     path's 64-bit accumulation, so they stay in the tensors' own dtype.
-    The input gradient (a GEMM plus one scatter per kernel offset) is
-    computed only when ``need_gx`` is set and is None otherwise, so a conv
-    on a gradient-free input such as a raw clip pays for the kernel and
-    bias gradients alone.
+    The input gradient (a GEMM plus the col2im scatter ``_scatter_windows``)
+    is computed only when ``need_gx`` is set and is None otherwise, so a
+    conv on a gradient-free input such as a raw clip pays for the kernel
+    and bias gradients alone.
     """
     n = len(outs)
-    k_sp = w.shape[:n]
     cout = w.shape[-1]
     gmat = np.ascontiguousarray(gout.reshape(-1, cout))
 
@@ -752,20 +760,10 @@ def _conv_backward(gout, dtype, cin, w, xp_shape, cols, pads, strides, outs, nee
     if not need_gx:
         return None, gw, gb
 
-    # Scatter grad columns back onto the padded input. For a fixed kernel
-    # offset the strided destination cells are disjoint, so each += below
-    # is overlap-free and the loop stays deterministic.
-    dcols = (gmat @ w.reshape(-1, cout).T).reshape(tuple(outs) + tuple(k_sp) + (cin,))
-    gxp = np.zeros(xp_shape, dtype=dtype)
-    for offset in itertools.product(*(range(k) for k in k_sp)):
-        dst = tuple(
-            slice(offset[i], offset[i] + outs[i] * strides[i], strides[i]) for i in range(n)
-        )
-        src = (slice(None),) * n + offset + (slice(None),)
-        gxp[dst + (slice(None),)] += dcols[src]
+    dcols = (gmat @ w.reshape(-1, cout).T).reshape(tuple(outs) + w.shape[:n] + (cin,))
+    gxp = _scatter_windows(dcols, xp_shape, strides)
     unpad = tuple(slice(lo, gxp.shape[i] - hi) for i, (lo, hi) in enumerate(pads))
-    gx = gxp[unpad + (slice(None),)]
-    return np.ascontiguousarray(gx), gw, gb
+    return np.ascontiguousarray(gxp[unpad]), gw, gb
 
 
 def _conv_nd(x: Tensor, kernel: Tensor, bias, padding, stride, ndim: int, op: str) -> Tensor:
@@ -785,11 +783,11 @@ def _conv_nd(x: Tensor, kernel: Tensor, bias, padding, stride, ndim: int, op: st
     bdata = bias.data if bias is not None else None
     out, xp_shape, cols = _conv_forward(x.data, kernel.data, bdata, pads, strides, outs)
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    dtype, cin, kd = x.data.dtype, x.shape[-1], kernel.data
+    cin, kd = x.shape[-1], kernel.data
 
     def bw(g):
         gx, gw, gb = _conv_backward(
-            g, dtype, cin, kd, xp_shape, cols, pads, strides, outs, x.requires_grad
+            g, cin, kd, xp_shape, cols, pads, strides, outs, x.requires_grad
         )
         grads = [gx, gw if kernel.requires_grad else None]
         if bias is not None:
@@ -821,9 +819,7 @@ def _pool_geometry(in_sp, window, stride, op: str):
     if len(window) != len(in_sp) or any(w < 1 for w in window):
         raise ShapeError(f"{op}: bad window {window}")
     strides = _norm_stride(window if stride is None else stride, len(in_sp))
-    if any(w > size for size, w in zip(in_sp, window)):
-        raise ShapeError(f"{op}: window {window} does not fit input {in_sp}")
-    return strides, tuple((size - w) // st + 1 for size, w, st in zip(in_sp, window, strides))
+    return strides, _conv_geometry(in_sp, window, strides, "valid")[1]
 
 
 def _maxpool_nd(x: Tensor, window, stride, ndim: int, op: str) -> Tensor:
@@ -838,23 +834,15 @@ def _maxpool_nd(x: Tensor, window, stride, ndim: int, op: str) -> Tensor:
     wprod = int(np.prod(window, dtype=np.int64))
     flat = np.ascontiguousarray(view).reshape(m, wprod, channels)
     # First maximum in row-major window scan order wins ties.
-    idx = flat.argmax(axis=1)
-    out = np.take_along_axis(flat, idx[:, None, :], axis=1)[:, 0, :]
-    out = out.reshape(outs + (channels,))
-
-    in_shape = x.shape
+    idx = flat.argmax(axis=1)[:, None, :]
+    out = np.take_along_axis(flat, idx, axis=1).reshape(outs + (channels,))
+    in_shape, cell_shape = x.shape, view.shape
 
     def bw(g):
-        gx = np.zeros(in_shape, dtype=g.dtype)
-        out_coords = np.stack(np.unravel_index(np.arange(m), outs), axis=1)
-        win_offsets = np.stack(np.unravel_index(idx.reshape(-1), window), axis=1)
-        coords = np.repeat(out_coords, channels, axis=0) * np.asarray(strides) + win_offsets
-        chan = np.tile(np.arange(channels), m)
-        flat_index = np.ravel_multi_index(
-            tuple(coords[:, i] for i in range(ndim)) + (chan,), in_shape
-        )
-        np.add.at(gx.reshape(-1), flat_index, g.reshape(-1))
-        return (gx,)
+        # Each output's gradient goes to its argmax cell, then onto the input.
+        cells = np.zeros((m, wprod, channels), dtype=g.dtype)
+        np.put_along_axis(cells, idx, g.reshape(m, 1, channels), axis=1)
+        return (_scatter_windows(cells.reshape(cell_shape), in_shape, strides),)
 
     return _result(out, (x,), bw, op)
 

@@ -48,7 +48,6 @@ class TrainingConfig:
     patience: int = 5
     validation_split: float = 0.1
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.validation_split < 1.0:
@@ -235,8 +234,7 @@ def fit(spec: ModelSpec, manifest: DatasetManifest, cfg: TrainingConfig) -> tupl
     history = History()
     val_losses: list[float] = []
     for epoch in range(1, cfg.max_epochs + 1):
-        if cfg.shuffle:
-            rng.shuffle(pool)
+        rng.shuffle(pool)
         loss_sum = 0.0
         correct = 0.0
         for start in range(0, len(pool), cfg.batch_size):

@@ -113,6 +113,23 @@ def maxpool_loop(x, window, stride=None):
     return out
 
 
+def maxpool_grad_loop(x, g, window, stride=None):
+    """Input gradient of max pooling: each output's upstream gradient goes to
+    the first maximum of its window in row-major scan order."""
+    nd = len(window)
+    stride = window if stride is None else stride
+    gx = np.zeros_like(x)
+    for pos in np.ndindex(*g.shape[:nd]):
+        for c in range(x.shape[-1]):
+            best = None
+            for off in np.ndindex(*window):
+                coord = tuple(pos[i] * stride[i] + off[i] for i in range(nd)) + (c,)
+                if best is None or x[coord] > x[best]:
+                    best = coord
+            gx[best] += g[pos + (c,)]
+    return gx
+
+
 def _sigmoid(z):
     if z >= 0:
         return 1.0 / (1.0 + math.exp(-z))

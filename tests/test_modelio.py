@@ -150,10 +150,12 @@ class TestRejection:
             ]}] + h["layers"][1:]},
             lambda h: {**h, "preprocess": {**h["preprocess"], "channels": 2}},
             lambda h: {**h, "class_names": "alpha"},
+            lambda h: {k: v for k, v in h.items() if k != "payload_checksum_fnv1a64"},
         ],
         ids=["array", "no_offset", "str_length", "tensors_object", "unknown_arch",
              "int_input_shape", "zero_extent", "huge_extent", "layer_not_object",
-             "unknown_layer_key", "stride_key", "bad_preprocess", "str_class_names"],
+             "unknown_layer_key", "stride_key", "bad_preprocess", "str_class_names",
+             "no_checksum"],
     )
     def test_malformed_header_is_a_format_error(self, saved, tmp_path, capsys, mutate):
         path, *_ = saved
@@ -180,6 +182,19 @@ class TestRejection:
         bad = tmp_path / "flip.slm"
         bad.write_bytes(bytes(raw))
         with pytest.raises(modelio.ChecksumError):
+            modelio.load_model(str(bad))
+
+    def test_non_finite_payload_is_a_format_error(self, saved, tmp_path):
+        path, *_ = saved
+        raw = open(path, "rb").read()
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        payload = bytearray(raw[(8 + hlen + 7) & ~7 :])
+        payload[-4:] = struct.pack("<f", float("nan"))
+        checksum = f"{modelio._fnv1a64(bytes(payload)):016x}"
+        rewritten = _with_header(path, lambda h: {**h, "payload_checksum_fnv1a64": checksum})
+        bad = tmp_path / "nan.slm"
+        bad.write_bytes(rewritten[: -len(payload)] + bytes(payload))
+        with pytest.raises(modelio.ModelFormatError, match="non-finite"):
             modelio.load_model(str(bad))
 
     def test_distinct_error_types(self):

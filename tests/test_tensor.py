@@ -145,19 +145,18 @@ class TestMatmul:
         got = tn.matmul(t32(a), t32(b)).data
         assert np.array_equal(got, oracles.matmul_triple_loop_f32(a, b))
 
-    def test_large_k_fallback_matches_triple_loop(self):
+    def test_chunked_fold_matches_triple_loop(self):
+        # K spans three whole chunks and a partial fourth, so the running sum
+        # is carried into three later chunks.
+        m, n = 16, 64
+        chunk = tn._MATMUL_BLOCK_ELEMS // (m * n)
+        k = 3 * chunk + 5
+        assert chunk > 5
         rng = np.random.default_rng(1)
-        a = rng.uniform(-1, 1, (2, 71)).astype(np.float32)
-        b = rng.uniform(-1, 1, (71, 3)).astype(np.float32)
+        a = rng.uniform(-1, 1, (m, k)).astype(np.float32)
+        b = rng.uniform(-1, 1, (k, n)).astype(np.float32)
         got = tn.matmul(t32(a), t32(b)).data
-        old = tn._MATMUL_BUFFER_ELEMS
-        tn._MATMUL_BUFFER_ELEMS = 1
-        try:
-            via_loop = tn.matmul(t32(a), t32(b)).data
-        finally:
-            tn._MATMUL_BUFFER_ELEMS = old
-        exp = oracles.matmul_triple_loop_f32(a, b)
-        assert np.array_equal(got, exp) and np.array_equal(via_loop, exp)
+        assert np.array_equal(got, oracles.matmul_triple_loop_f32(a, b))
 
     def test_inner_extent_mismatch(self):
         with pytest.raises(ShapeError):
@@ -272,6 +271,27 @@ class TestMaxpool:
     def test_window_too_large_raises(self):
         with pytest.raises(ShapeError):
             tn.maxpool2d(t32(np.ones((2, 2, 1))), (3, 3))
+
+    @pytest.mark.parametrize(
+        "op, shape, window, stride",
+        [
+            ("maxpool2d", (6, 9, 3), (2, 3), (1, 2)),
+            ("maxpool3d", (4, 6, 5, 2), (2, 2, 2), None),
+            ("maxpool3d", (3, 6, 7, 2), (1, 2, 2), None),
+        ],
+        ids=["2d_overlapping", "3d_2x2x2", "3d_1x2x2"],
+    )
+    def test_gradient_matches_loop_oracle(self, op, shape, window, stride):
+        rng = np.random.default_rng(8)
+        # Rounded inputs give ties; integer gradients sum exactly in any order.
+        x = np.round(rng.uniform(-2, 2, shape)).astype(np.float32)
+        probe = t32(x, requires_grad=True)
+        with tn.record() as tape:
+            y = getattr(tn, op)(probe, window, stride)
+            g = rng.integers(-3, 4, y.shape).astype(np.float32)
+            loss = tn.reduce_sum(tn.mul(y, t32(g)))
+        tape.backward(loss)
+        assert np.array_equal(probe.grad, oracles.maxpool_grad_loop(x, g, window, stride))
 
     def test_tie_routes_gradient_to_first_in_scan_order(self):
         x = t32(np.full((2, 2, 1), 1.0), requires_grad=True)
