@@ -14,6 +14,14 @@ names, preprocessing config, layer configs, a tensor table of
 and aligned to 8 bytes, and a 64-bit FNV-1a checksum of the payload. A
 loaded model is therefore self-describing: prediction needs nothing
 beyond the file. Saving the same model twice produces identical bytes.
+
+One function, ``_header``, decides every header field but the checksum
+from the model spec, the preprocess config and the class names, and the
+preprocess config must produce clips of the spec's input shape.
+``save_model`` writes that header. ``load_model`` rebuilds the spec from
+the few fields the builders read and accepts the file only if the stored
+header equals ``_header`` of what it rebuilt, so it loads exactly the files
+``save_model`` can write.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import numpy as np
 from . import models, nn
 from .data import PreprocessConfig
 from .models import ModelSpec
-from .nn import LayerConfig, ParameterStore
+from .nn import ParameterStore
 from .tensor import Tensor
 
 __all__ = [
@@ -76,9 +84,8 @@ class IncompleteParamsError(ModelFormatError):
 
 def _fnv1a64(data: bytes) -> int:
     h = 0xCBF29CE484222325
-    for chunk_start in range(0, len(data), 1 << 16):
-        for b in data[chunk_start : chunk_start + (1 << 16)]:
-            h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
 
 
@@ -94,71 +101,44 @@ def _is_int_list(v) -> bool:
     return isinstance(v, list) and all(_is_int(x) for x in v)
 
 
-def _is_tensor_entry(e) -> bool:
-    return (
-        isinstance(e, dict)
-        and isinstance(e.get("name"), str)
-        and _is_int_list(e.get("shape"))
-        and _is_int(e.get("offset"))
-        and _is_int(e.get("length"))
-    )
+_CHECKSUM = "payload_checksum_fnv1a64"
 
-
-# Required header fields and their JSON types, checked before any is used.
+# The header fields the builders read, and the checksum: their JSON types are
+# checked before any is used. Every other field is compared with _header.
 _HEADER_FIELDS = {
     "architecture": lambda v: isinstance(v, str),
     "input_shape": _is_int_list,
     "num_classes": _is_int,
     "class_names": lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
-    "preprocess": lambda v: isinstance(v, dict),
-    "layers": lambda v: isinstance(v, list) and all(isinstance(d, dict) for d in v),
-    "tensors": lambda v: isinstance(v, list) and all(_is_tensor_entry(e) for e in v),
-    "payload_checksum_fnv1a64": lambda v: isinstance(v, str) and re.fullmatch("[0-9a-f]{16}", v),
+    "feature_extractor_trainable": lambda v: isinstance(v, bool),
+    _CHECKSUM: lambda v: isinstance(v, str) and re.fullmatch("[0-9a-f]{16}", v),
 }
 
 
-def save_model(
-    spec: ModelSpec,
-    params: ParameterStore,
-    preprocess: PreprocessConfig,
-    class_names: list[str],
-    path: str,
-) -> None:
-    """Write an SLM1 file; byte-identical output for identical inputs."""
-    if len(class_names) != spec.num_classes:
-        raise IncompleteParamsError(
-            f"{len(class_names)} class names for a {spec.num_classes}-class model"
+def _header(
+    spec: ModelSpec, preprocess: PreprocessConfig, class_names: list[str]
+) -> tuple[dict, list[nn.ParamPlan]]:
+    """Every header field but the checksum, and the parameter plans.
+
+    The preprocess config's (sequence_length, target_height, target_width,
+    channels) must be the integers of the input shape. The tensor table
+    places each plan's float32 blob at the first multiple of 8 bytes after
+    the previous blob.
+    """
+    fitted = [preprocess.sequence_length, preprocess.target_height,
+              preprocess.target_width, preprocess.channels]
+    if fitted != list(spec.input_shape) or not _is_int_list(fitted):
+        raise IncompatibleModelError(
+            f"preprocess config {preprocess.to_dict()} does not fit input shape {spec.input_shape}"
         )
     _, plans = nn.trace_layers(spec.layers, spec.input_shape)
-    blobs = []
     table = []
     offset = 0
     for plan in plans:
-        if plan.name not in params:
-            raise IncompleteParamsError(f"missing parameter {plan.name!r}")
-        t = params[plan.name]
-        if t.shape != plan.shape:
-            raise IncompleteParamsError(
-                f"parameter {plan.name!r} has shape {t.shape}, expected {plan.shape}"
-            )
-        blob = np.ascontiguousarray(t.data.astype("<f4")).tobytes()
-        table.append(
-            {
-                "name": plan.name,
-                "shape": list(plan.shape),
-                "offset": offset,
-                "length": len(blob),
-            }
-        )
-        blobs.append(blob)
-        offset = _align8(offset + len(blob))
-
-    payload = bytearray()
-    for entry, blob in zip(table, blobs):
-        payload.extend(b"\x00" * (entry["offset"] - len(payload)))
-        payload.extend(blob)
-    payload = bytes(payload)
-
+        length = 4 * int(np.prod(plan.shape, dtype=np.int64))
+        table.append({"name": plan.name, "shape": list(plan.shape), "offset": offset,
+                      "length": length})
+        offset = _align8(offset + length)
     header = {
         "format_version": FORMAT_VERSION,
         "architecture": spec.architecture,
@@ -169,8 +149,43 @@ def save_model(
         "preprocess": preprocess.to_dict(),
         "layers": [cfg.to_dict() for cfg in spec.layers],
         "tensors": table,
-        "payload_checksum_fnv1a64": f"{_fnv1a64(payload):016x}",
     }
+    return header, plans
+
+
+def _payload_size(table: list[dict]) -> int:
+    return table[-1]["offset"] + table[-1]["length"] if table else 0
+
+
+def save_model(
+    spec: ModelSpec,
+    params: ParameterStore,
+    preprocess: PreprocessConfig,
+    class_names: list[str],
+    path: str,
+) -> None:
+    """Write an SLM1 file; byte-identical output for identical inputs.
+
+    Raises ``IncompleteParamsError`` if the class names or parameters do not
+    cover the model, and ``IncompatibleModelError`` if the preprocess config
+    does not produce clips of the model's input shape.
+    """
+    if len(class_names) != spec.num_classes:
+        raise IncompleteParamsError(
+            f"{len(class_names)} class names for a {spec.num_classes}-class model"
+        )
+    header, plans = _header(spec, preprocess, class_names)
+    payload = bytearray(_payload_size(header["tensors"]))
+    for entry, plan in zip(header["tensors"], plans):
+        if plan.name not in params:
+            raise IncompleteParamsError(f"missing parameter {plan.name!r}")
+        t = params[plan.name]
+        if t.shape != plan.shape:
+            raise IncompleteParamsError(
+                f"parameter {plan.name!r} has shape {t.shape}, expected {plan.shape}"
+            )
+        payload[entry["offset"] : entry["offset"] + entry["length"]] = t.data.astype("<f4").tobytes()
+    header[_CHECKSUM] = f"{_fnv1a64(payload):016x}"
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     prefix_len = len(MAGIC) + 4 + len(header_bytes)
     pad = _align8(prefix_len) - prefix_len
@@ -186,11 +201,14 @@ def save_model(
 def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, list[str]]:
     """Read an SLM1 file back into (spec, params, preprocess, class_names).
 
-    Validates magic, version, the JSON types of the header fields, table
-    bounds, the payload checksum (which every file must carry), that every
-    stored weight is finite, and agreement between the stored layer
-    configs and the architecture builder's output. Rejected contents raise
-    a ``ModelFormatError``; a file that cannot be read raises ``OSError``.
+    Checks the magic and the format version, then parses the header fields
+    the builders read and rebuilds the model from them. The file is accepted
+    only if its header, checksum aside, equals the one ``save_model`` writes
+    for that model, its preprocess config and its class names; the tensors
+    are read at the offsets of that header. Then the payload must be long
+    enough, match its checksum (which every file must carry), and hold only
+    finite weights. Rejected contents raise a ``ModelFormatError``; a file
+    that cannot be read raises ``OSError``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -201,7 +219,7 @@ def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, 
         raise TruncatedPayloadError(f"{path}: header extends past end of file")
     try:
         header = json.loads(data[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
         raise ModelFormatError(f"{path}: header is not a JSON object")
@@ -210,60 +228,39 @@ def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, 
     if version != FORMAT_VERSION:
         raise UnsupportedVersionError(f"{path}: unsupported format version {version!r}")
 
-    payload_start = _align8(8 + header_len)
-    payload = data[payload_start:]
-
     for key, valid in _HEADER_FIELDS.items():
         if key not in header:
             raise ModelFormatError(f"{path}: header missing {key!r}")
         if not valid(header[key]):
             raise ModelFormatError(f"{path}: header field {key!r} has the wrong type")
-    if not isinstance(header.get("feature_extractor_trainable", False), bool):
-        raise ModelFormatError(f"{path}: header field 'feature_extractor_trainable' is not a bool")
 
+    class_names = header["class_names"]
     try:
         spec = models.build(
             header["architecture"],
             tuple(header["input_shape"]),
             header["num_classes"],
-            feature_extractor_trainable=header.get("feature_extractor_trainable", False),
+            feature_extractor_trainable=header["feature_extractor_trainable"],
         )
-        stored_layers = [LayerConfig.from_dict(d) for d in header["layers"]]
-        preprocess = PreprocessConfig.from_dict(header["preprocess"])
+        preprocess = PreprocessConfig.from_dict(header.get("preprocess"))
+        expected, plans = _header(spec, preprocess, class_names)
     except (TypeError, ValueError, OverflowError) as exc:
         raise IncompatibleModelError(f"{path}: header rejected by the builders: {exc}") from exc
-    if [cfg.to_dict() for cfg in stored_layers] != [cfg.to_dict() for cfg in spec.layers]:
-        raise IncompatibleModelError(
-            f"{path}: stored layer configs do not match the {spec.architecture} builder"
-        )
-    class_names = list(header["class_names"])
     if len(class_names) != spec.num_classes:
         raise IncompatibleModelError(
             f"{path}: {len(class_names)} class names for {spec.num_classes} classes"
         )
+    if {k: v for k, v in header.items() if k != _CHECKSUM} != expected:
+        raise IncompatibleModelError(
+            f"{path}: header differs from the one save_model writes for this "
+            f"{spec.architecture} model"
+        )
 
-    _, plans = nn.trace_layers(spec.layers, spec.input_shape)
-    table = header["tensors"]
-    if [e["name"] for e in table] != [p.name for p in plans]:
-        raise IncompatibleModelError(f"{path}: tensor table does not match the parameter plan")
-
-    prev_end = 0
-    for entry, plan in zip(table, plans):
-        if tuple(entry["shape"]) != plan.shape:
-            raise IncompatibleModelError(
-                f"{path}: tensor {plan.name!r} has shape {entry['shape']}, expected {plan.shape}"
-            )
-        off, length = entry["offset"], entry["length"]
-        expected_len = 4 * int(np.prod(plan.shape, dtype=np.int64))
-        if off % 8 != 0 or off < prev_end or length != expected_len:
-            raise ModelFormatError(f"{path}: bad tensor table entry for {plan.name!r}")
-        if off + length > len(payload):
-            raise TruncatedPayloadError(
-                f"{path}: payload too short for tensor {plan.name!r}"
-            )
-        prev_end = off + length
-
-    if f"{_fnv1a64(payload):016x}" != header["payload_checksum_fnv1a64"]:
+    payload = data[_align8(8 + header_len) :]
+    table = expected["tensors"]
+    if len(payload) < _payload_size(table):
+        raise TruncatedPayloadError(f"{path}: payload too short for its tensor table")
+    if f"{_fnv1a64(payload):016x}" != header[_CHECKSUM]:
         raise ChecksumError(f"{path}: payload checksum mismatch")
 
     store = ParameterStore()

@@ -91,37 +91,25 @@ class LayerConfig:
             d["wrapped"] = [cfg.to_dict() for cfg in self.wrapped]
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "LayerConfig":
-        kwargs = dict(d)
-        if "kernel_size" in kwargs:
-            kwargs["kernel_size"] = tuple(kwargs["kernel_size"])
-        if "wrapped" in kwargs:
-            kwargs["wrapped"] = [cls.from_dict(w) for w in kwargs["wrapped"]]
-        kwargs.setdefault("trainable", True)
-        kwargs.setdefault("return_sequences", False)
-        return cls(**kwargs)
-
 
 class ParameterStore:
     """Named parameter tensors with a per-parameter trainable mask.
 
     Iteration order is insertion order and is the canonical order for
-    initialization draws and serialization. ``add`` sets each tensor's
-    ``requires_grad`` from its trainable flag, so frozen parameters are
-    never recorded on a tape and never receive gradients.
+    initialization draws and serialization. A parameter's trainable flag is
+    its tensor's ``requires_grad``: ``add`` sets it and ``is_trainable``
+    reads it, so frozen parameters are never recorded on a tape and never
+    receive gradients.
     """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._trainable: dict[str, bool] = {}
 
     def add(self, name: str, t: Tensor, trainable: bool = True) -> None:
         if name in self._params:
             raise ShapeError(f"duplicate parameter name {name!r}")
         t.requires_grad = bool(trainable)
         self._params[name] = t
-        self._trainable[name] = t.requires_grad
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
@@ -139,7 +127,7 @@ class ParameterStore:
         return self._params.items()
 
     def is_trainable(self, name: str) -> bool:
-        return self._trainable[name]
+        return self._params[name].requires_grad
 
     def zero_grads(self) -> None:
         for t in self._params.values():

@@ -18,6 +18,7 @@ Reproducibility rules, fixed for every kernel:
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import itertools
 import operator
@@ -247,7 +248,8 @@ def _jump_table(j: int) -> np.ndarray:
 # Tensors and the recording tape
 # ---------------------------------------------------------------------------
 
-_TAPES: list["Tape"] = []
+# The innermost open tape of the running thread or task; None outside any.
+_TAPE: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar("tape", default=None)
 
 
 class Tensor:
@@ -302,7 +304,9 @@ class Tape:
     """Ordered record of operations for one reverse pass.
 
     Nodes are appended in execution order, which is a topological order by
-    construction; ``backward`` walks them once, in reverse.
+    construction; ``backward`` walks them once, in reverse. Entering a tape
+    makes it the active one in the current thread only, so tapes opened in
+    concurrent threads never record each other's operations.
     """
 
     def __init__(self):
@@ -310,11 +314,11 @@ class Tape:
         self._produced: set[int] = set()
 
     def __enter__(self) -> "Tape":
-        _TAPES.append(self)
+        self._token = _TAPE.set(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _TAPES.pop()
+        _TAPE.reset(self._token)
         return False
 
     def backward(self, loss: Tensor) -> None:
@@ -342,7 +346,7 @@ def record() -> Tape:
 
 
 def _active_tape():
-    return _TAPES[-1] if _TAPES else None
+    return _TAPE.get()
 
 
 def _result(data: np.ndarray, inputs: tuple, bw, op: str) -> Tensor:

@@ -53,6 +53,12 @@ class TestSave:
             modelio.save_model(spec, incomplete, PreprocessConfig(16, 16, 1, 6),
                                CLASSES, str(tmp_path / "x.slm"))
 
+    def test_preprocess_must_fit_input_shape(self, saved, tmp_path):
+        _, spec, params, _ = saved
+        with pytest.raises(modelio.IncompatibleModelError):
+            modelio.save_model(spec, params, PreprocessConfig(16, 16, 1, 7), CLASSES,
+                               str(tmp_path / "x.slm"))
+
     def test_class_name_count_checked(self, saved, tmp_path):
         _, spec, params, cfg = saved
         with pytest.raises(modelio.IncompleteParamsError):
@@ -151,11 +157,17 @@ class TestRejection:
             lambda h: {**h, "preprocess": {**h["preprocess"], "channels": 2}},
             lambda h: {**h, "class_names": "alpha"},
             lambda h: {k: v for k, v in h.items() if k != "payload_checksum_fnv1a64"},
+            lambda h: {**h, "preprocess": {**h["preprocess"], "sequence_length": 10**12}},
+            lambda h: {**h, "preprocess": {**h["preprocess"], "sequence_length": 6.0}},
+            lambda h: {**h, "layers": [{**d, "trainable": True} if d["kind"] == "flatten" else d
+                                       for d in h["layers"]]},
+            lambda h: {k: v for k, v in h.items() if k != "feature_extractor_trainable"},
         ],
         ids=["array", "no_offset", "str_length", "tensors_object", "unknown_arch",
              "int_input_shape", "zero_extent", "huge_extent", "layer_not_object",
              "unknown_layer_key", "stride_key", "bad_preprocess", "str_class_names",
-             "no_checksum"],
+             "no_checksum", "preprocess_mismatch", "float_preprocess", "redundant_layer_key",
+             "no_extractor_flag"],
     )
     def test_malformed_header_is_a_format_error(self, saved, tmp_path, capsys, mutate):
         path, *_ = saved
@@ -166,6 +178,47 @@ class TestRejection:
         rc = cli.main(["predict", "--model", str(bad), "--clip", str(tmp_path / "none")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("nested", ["array", "layers"])
+    def test_deeply_nested_header_is_a_format_error(self, saved, tmp_path, capsys, nested):
+        path, *_ = saved
+        raw = open(path, "rb").read()
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        if nested == "array":
+            hb = b"[" * 100_000
+        else:
+            # json.dumps would recurse on this depth, so splice the text in.
+            wrappers = '{"kind":"time_distributed","wrapped":[' * 700
+            layers = "[" + wrappers + '{"kind":"relu"}' + "]}" * 700 + "]"
+            header = {**json.loads(raw[8 : 8 + hlen]), "layers": "LAYERS"}
+            text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+            hb = text.replace('"LAYERS"', layers).encode()
+        prefix = b"SLM1" + struct.pack("<I", len(hb)) + hb
+        pad = ((len(prefix) + 7) & ~7) - len(prefix)
+        bad = tmp_path / "deep.slm"
+        bad.write_bytes(prefix + b"\x00" * pad + raw[(8 + hlen + 7) & ~7 :])
+        with pytest.raises(modelio.ModelFormatError):
+            modelio.load_model(str(bad))
+        rc = cli.main(["predict", "--model", str(bad), "--clip", str(tmp_path / "none")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_tensors_at_other_aligned_offsets_rejected(self, saved, tmp_path):
+        # Every tensor moves 8 bytes later, with payload and checksum to match:
+        # a consistent table, but not the one save_model writes.
+        path, *_ = saved
+        raw = open(path, "rb").read()
+        (hlen,) = struct.unpack("<I", raw[4:8])
+        payload = b"\x00" * 8 + raw[(8 + hlen + 7) & ~7 :]
+        rewritten = _with_header(path, lambda h: {
+            **h,
+            "tensors": [{**e, "offset": e["offset"] + 8} for e in h["tensors"]],
+            "payload_checksum_fnv1a64": f"{modelio._fnv1a64(payload):016x}",
+        })
+        bad = tmp_path / "shifted.slm"
+        bad.write_bytes(rewritten[: len(rewritten) - len(payload) + 8] + payload)
+        with pytest.raises(modelio.IncompatibleModelError):
+            modelio.load_model(str(bad))
 
     def test_truncated_payload(self, saved, tmp_path):
         path, *_ = saved

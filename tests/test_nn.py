@@ -263,19 +263,6 @@ class TestLayerConfig:
         with pytest.raises(ShapeError):
             LayerConfig("dropout", rate=1.0)
 
-    def test_round_trips_through_dict(self):
-        cfg = LayerConfig(
-            "time_distributed",
-            wrapped=[
-                LayerConfig("conv2d", filters=8, kernel_size=(3, 3), padding="same",
-                            trainable=False),
-                LayerConfig("relu"),
-                LayerConfig("dense", units=4, trainable=False),
-            ],
-            trainable=False,
-        )
-        assert LayerConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ShapeError):
             LayerConfig("attention")

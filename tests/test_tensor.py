@@ -1,4 +1,5 @@
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -328,6 +329,41 @@ class TestBackward:
             tn.reduce_sum(x)
             with pytest.raises(TapeError):
                 other.backward(loss)
+
+    def test_tapes_in_concurrent_threads_stay_apart(self):
+        # A opens its tape, then B opens one, then A computes, then B does.
+        a_open, b_open, a_done = threading.Event(), threading.Event(), threading.Event()
+        grads, errors = {}, []
+
+        def worker(name, value, wait_open, opened, wait_compute, done):
+            try:
+                x = t32([value] * 3, requires_grad=True)
+                if wait_open is not None:
+                    wait_open.wait(10)
+                with tn.record() as tape:
+                    opened.set()
+                    wait_compute.wait(10)
+                    loss = tn.reduce_sum(tn.mul(x, x))
+                tape.backward(loss)
+                grads[name] = x.grad.tolist()
+            except TapeError as exc:
+                errors.append(exc)
+            finally:
+                opened.set()
+                done.set()
+
+        threads = [
+            threading.Thread(target=worker, args=("a", 1.0, None, a_open, b_open, a_done)),
+            threading.Thread(target=worker,
+                             args=("b", 2.0, a_open, b_open, a_done, threading.Event())),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+            assert not t.is_alive()
+        assert errors == []
+        assert grads == {"a": [2.0, 2.0, 2.0], "b": [4.0, 4.0, 4.0]}
 
     def test_non_scalar_loss_rejected(self):
         x = t32([1.0, 2.0], requires_grad=True)
