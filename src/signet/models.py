@@ -217,19 +217,17 @@ def init_model(spec: ModelSpec, rng: Rng, dtype=np.float32) -> ParameterStore:
     return nn.init_params(spec.layers, spec.input_shape, rng, dtype=dtype)
 
 
-def forward(
-    spec: ModelSpec,
-    params: ParameterStore,
-    clip: Tensor,
-    train: bool = False,
-    rng: Rng | None = None,
-) -> Tensor:
-    """Probability vector (num_classes,) for one clip tensor (T, H, W, C)."""
+def forward(spec: ModelSpec, params: ParameterStore, clip: Tensor) -> Tensor:
+    """Probability vector (num_classes,) for one clip tensor (T, H, W, C).
+
+    Training and inference run the same ops; under an open tape the taped
+    ones are recorded for the backward pass.
+    """
     if clip.shape != spec.input_shape:
         raise ShapeError(
             f"clip shape {clip.shape} does not match model input {spec.input_shape}"
         )
-    return nn.apply_layers(spec.layers, params, clip, train=train, rng=rng)
+    return nn.apply_layers(spec.layers, params, clip)
 
 
 def predict_probs(spec: ModelSpec, params: ParameterStore, frames: np.ndarray) -> np.ndarray:

@@ -1,13 +1,14 @@
-"""Layer library: dense, activations, recurrence, and parameter stores.
+"""Layer library: dense, recurrence, the layer registry, and parameter stores.
 
-Layers are pure functions of (parameters, input). ``LayerConfig`` describes
-one layer declaratively. Each layer kind has one entry in ``_KINDS`` that
-holds its config check, its trace (output shape and parameters), its apply
-and its parameter suffixes. ``trace_layers`` walks a config chain through
-the traces to validate shapes and enumerate parameter tensors, and
-``apply_layers`` runs the chain on data through the applies. Both loops
-name a layer's parameters ``{prefix}{i}_{kind}/{suffix}``, so parameter
-names, initialization draws, and serialization stay aligned.
+Layers are pure functions of (parameters, input), with one forward mode for
+training and inference alike. ``LayerConfig`` describes one layer
+declaratively. Each layer kind has one entry in ``_KINDS`` that holds its
+config check, its trace (output shape and parameters), its apply and its
+parameter suffixes. ``trace_layers`` walks a config chain through the traces
+to validate shapes and enumerate parameter tensors, and ``apply_layers`` runs
+the chain on data through the applies. Both loops name a layer's parameters
+``{prefix}{i}_{kind}/{suffix}``, so parameter names, initialization draws,
+and serialization stay aligned.
 
 Entries look layer functions up when they run (``dense(...)``,
 ``getattr(tn, cfg.kind)(...)``) instead of holding the function objects,
@@ -34,9 +35,6 @@ __all__ = [
     "LayerConfig",
     "ParameterStore",
     "dense",
-    "softmax",
-    "relu",
-    "dropout",
     "simple_rnn",
     "lstm",
     "convlstm2d",
@@ -51,7 +49,11 @@ __all__ = [
 class LayerConfig:
     """Declarative description of one layer.
 
-    Only the fields relevant to ``kind`` are consulted; the rest stay None.
+    Only the fields relevant to ``kind`` are consulted; the rest keep their
+    defaults. ``units`` serves dense and the recurrent kinds, ``filters`` the
+    conv kinds, ``kernel_size`` the conv, pool and convlstm2d kinds,
+    ``padding`` the conv kinds and convlstm2d, ``return_sequences`` the
+    recurrent kinds, and ``wrapped`` time_distributed.
     A time_distributed layer's ``trainable`` flag covers every parameter it
     wraps, so the wrapped layers that have parameters must carry the same flag.
     """
@@ -61,7 +63,6 @@ class LayerConfig:
     filters: int | None = None
     kernel_size: tuple | None = None
     padding: str | None = None
-    rate: float | None = None
     return_sequences: bool = False
     trainable: bool = True
     wrapped: list["LayerConfig"] | None = None
@@ -75,7 +76,7 @@ class LayerConfig:
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
-        for key in ("units", "filters", "rate"):
+        for key in ("units", "filters"):
             v = getattr(self, key)
             if v is not None:
                 d[key] = v
@@ -117,9 +118,6 @@ class ParameterStore:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -148,23 +146,6 @@ def dense(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     flat = tn.reshape(x, (int(np.prod(lead, dtype=np.int64)) if lead else 1, k_in))
     out = tn.add(tn.matmul(flat, kernel), tn.reshape(bias, (1, k_out)))
     return tn.reshape(out, lead + (k_out,))
-
-
-softmax = tn.softmax
-relu = tn.relu
-
-
-def dropout(x: Tensor, rate: float, train: bool, rng: Rng | None = None) -> Tensor:
-    """Inverted dropout: scales kept values by 1/(1-rate) at train time."""
-    if not (0.0 <= rate < 1.0):
-        raise ShapeError("dropout rate must lie in [0, 1)")
-    if not train or rate == 0.0:
-        return x
-    if rng is None:
-        raise ShapeError("dropout in train mode needs an Rng")
-    keep = 1.0 - rate
-    mask = (rng.uniforms(x.numel) < keep).astype(x.data.dtype).reshape(x.shape)
-    return tn.scale(tn.mul(x, Tensor(mask)), 1.0 / keep)
 
 
 def _lstm_cell(gates: Tensor, c: Tensor, units: int) -> tuple[Tensor, Tensor]:
@@ -313,8 +294,9 @@ class _Kind(NamedTuple):
 
     ``check(cfg)`` rejects a bad config. ``trace(cfg, shape)`` returns the
     output shape and the parameters as (suffix, shape, init) triples.
-    ``apply(cfg, x, params, train, rng, store, name)`` runs the layer, with
-    ``params`` fetched from the store in ``params`` suffix order.
+    ``apply(cfg, x, params, store, name)`` runs the layer, with
+    ``params`` fetched from the store in ``params`` suffix order; only
+    time_distributed reads ``store`` and ``name``, to run its wrapped chain.
     """
 
     apply: Callable
@@ -338,11 +320,6 @@ def _check_kernel(cfg: LayerConfig, nd: int) -> None:
 def _check_rank(cfg: LayerConfig, shape: tuple, rank: int) -> None:
     if len(shape) != rank:
         raise ShapeError(f"{cfg.kind} needs {rank}-d input, got {shape}")
-
-
-def _check_rate(cfg: LayerConfig) -> None:
-    if cfg.rate is None or not (0.0 <= cfg.rate < 1.0):
-        raise ShapeError("dropout rate must lie in [0, 1)")
 
 
 def _trace_dense(cfg, shape):
@@ -435,9 +412,9 @@ def _trace_time_distributed(cfg, shape):
     return shape[:1] + frame_out, [(p.name, p.shape, p.init) for p in plans]
 
 
-def _apply_time_distributed(cfg, x, params, train, rng, store, name):
+def _apply_time_distributed(cfg, x, params, store, name):
     return time_distributed(
-        lambda frame: apply_layers(cfg.wrapped, store, frame, train, rng, prefix=name + "td"), x
+        lambda frame: apply_layers(cfg.wrapped, store, frame, prefix=name + "td"), x
     )
 
 
@@ -445,14 +422,11 @@ _KINDS: dict[str, _Kind] = {
     "dense": _Kind(
         lambda cfg, x, p, *_: dense(x, *p), _trace_dense, _check_units, ("kernel", "bias")
     ),
-    "relu": _Kind(lambda cfg, x, *_: relu(x)),
-    "softmax": _Kind(lambda cfg, x, *_: softmax(x)),
+    "relu": _Kind(lambda cfg, x, *_: tn.relu(x)),
+    "softmax": _Kind(lambda cfg, x, *_: tn.softmax(x)),
     "flatten": _Kind(
         lambda cfg, x, *_: tn.reshape(x, (x.numel,)),
         lambda cfg, shape: ((int(np.prod(shape, dtype=np.int64)),), []),
-    ),
-    "dropout": _Kind(
-        lambda cfg, x, p, train, rng, *_: dropout(x, cfg.rate, train, rng), check=_check_rate
     ),
     "conv2d": _conv(2),
     "conv3d": _conv(3),
@@ -522,8 +496,6 @@ def apply_layers(
     layers: list[LayerConfig],
     store: ParameterStore,
     x: Tensor,
-    train: bool = False,
-    rng: Rng | None = None,
     prefix: str = "layer",
 ) -> Tensor:
     """Run a layer chain on one sample.
@@ -534,5 +506,5 @@ def apply_layers(
     for i, cfg in enumerate(layers):
         name = f"{prefix}{i}_{cfg.kind}/"
         kind = _KINDS[cfg.kind]
-        x = kind.apply(cfg, x, [store[name + s] for s in kind.params], train, rng, store, name)
+        x = kind.apply(cfg, x, [store[name + s] for s in kind.params], store, name)
     return x

@@ -54,7 +54,6 @@ __all__ = [
     "conv3d",
     "maxpool2d",
     "maxpool3d",
-    "backward",
     "grad_check",
 ]
 
@@ -274,10 +273,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
     def numel(self) -> int:
         return self.data.size
 
@@ -345,16 +340,12 @@ def record() -> Tape:
     return Tape()
 
 
-def _active_tape():
-    return _TAPE.get()
-
-
 def _result(data: np.ndarray, inputs: tuple, bw, op: str) -> Tensor:
     if not np.isfinite(data).all():
         raise NonFiniteError(f"{op} produced non-finite values")
     requires = any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=requires, _checked=True)
-    tape = _active_tape()
+    tape = _TAPE.get()
     if tape is not None and requires:
         tape.nodes.append(_Node(inputs, out, bw))
         tape._produced.add(id(out))
@@ -540,7 +531,11 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of ``length`` elements along ``axis``."""
+    """Contiguous slice of ``length`` elements along ``axis``; negative axes count from the end."""
+    ndim = a.data.ndim
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"narrow: axis {axis} outside a {ndim}-d tensor")
+    axis %= ndim
     extent = a.shape[axis]
     if start < 0 or length < 1 or start + length > extent:
         raise ShapeError(f"narrow [{start}:{start + length}] outside extent {extent}")
@@ -862,17 +857,8 @@ def maxpool3d(x: Tensor, window, stride=None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Backward entry points and the finite-difference harness
+# The finite-difference gradient harness
 # ---------------------------------------------------------------------------
-
-
-def backward(loss: Tensor, tape: Tape | None = None) -> None:
-    """Reverse pass from a scalar loss through its recording tape."""
-    if tape is None:
-        tape = _active_tape()
-    if tape is None:
-        raise TapeError("backward called without an active tape")
-    tape.backward(loss)
 
 
 def grad_check(f, x: Tensor, step: float = 1e-3) -> float:

@@ -60,8 +60,8 @@ class TrainingConfig:
             raise TrainingError("min_epochs must not exceed max_epochs")
         if self.max_epochs < 1:
             raise TrainingError("max_epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise TrainingError("learning_rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise TrainingError("learning_rate must be a positive finite number")
 
 
 @dataclass
@@ -245,7 +245,7 @@ def fit(spec: ModelSpec, manifest: DatasetManifest, cfg: TrainingConfig) -> tupl
                 clip_t = Tensor(sample.frames)
                 truth = one_hot([sample.label_index], num_classes)
                 with tn.record() as tape:
-                    probs = models.forward(spec, params, clip_t, train=True, rng=rng)
+                    probs = models.forward(spec, params, clip_t)
                     pred = tn.reshape(probs, (1, num_classes))
                     loss = categorical_crossentropy(pred, truth)
                     scaled = tn.scale(loss, inv)  # batch loss = mean over clips

@@ -190,7 +190,7 @@ class TestGoldenDigests:
         clip = np.random.default_rng(0).uniform(0, 1, SMALL).astype(np.float32)
         probs = models.predict_probs(spec, params, clip)
         with tn.record() as tape:
-            out = models.forward(spec, params, Tensor(clip), train=True, rng=Rng(6))
+            out = models.forward(spec, params, Tensor(clip))
             truth = np.eye(3, dtype=np.float32)[[1]]
             loss = train.categorical_crossentropy(tn.reshape(out, (1, 3)), truth)
         tape.backward(loss)

@@ -38,28 +38,6 @@ class TestDense:
             nn.dense(t32(np.ones((2, 3))), t32(np.ones((4, 2))), t32(np.zeros(2)))
 
 
-class TestDropout:
-    def test_rate_zero_is_identity(self):
-        x = t32(np.random.default_rng(0).uniform(0, 1, (4, 4)))
-        out = nn.dropout(x, 0.0, train=True, rng=Rng(1))
-        assert out is x
-
-    def test_inference_mode_is_identity(self):
-        x = t32(np.ones((3, 3)))
-        assert nn.dropout(x, 0.5, train=False) is x
-
-    def test_train_mode_scales_survivors(self):
-        x = t32(np.ones(1000))
-        out = nn.dropout(x, 0.5, train=True, rng=Rng(3)).data
-        kept = out[out != 0]
-        assert np.allclose(kept, 2.0)
-        assert 350 < kept.size < 650
-
-    def test_bad_rate_rejected(self):
-        with pytest.raises(ShapeError):
-            nn.dropout(t32([1.0]), 1.0, train=True, rng=Rng(0))
-
-
 class TestSimpleRnn:
     def test_zero_weights_give_tanh_bias(self):
         seq = t32(np.random.default_rng(0).uniform(-1, 1, (4, 3)))
@@ -259,10 +237,6 @@ class TestLayerConfig:
         with pytest.raises(ShapeError):
             LayerConfig("time_distributed", wrapped=[])
 
-    def test_dropout_rate_validated(self):
-        with pytest.raises(ShapeError):
-            LayerConfig("dropout", rate=1.0)
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ShapeError):
             LayerConfig("attention")
@@ -341,7 +315,7 @@ class TestFrozenParameters:
         truth = np.eye(3, dtype=np.float32)[[1]]
         store.zero_grads()
         with tn.record() as tape:
-            probs = models.forward(spec, store, clip, train=True, rng=Rng(5))
+            probs = models.forward(spec, store, clip)
             loss = train.categorical_crossentropy(tn.reshape(probs, (1, 3)), truth)
         tape.backward(loss)
         return tape, loss
@@ -435,15 +409,14 @@ def _seq(kind, **kw):
     return [LayerConfig(kind, units=3, **kw)]
 
 
-# One case per layer kind (the first layer of each case), plus the paths a
-# builder never takes: dropout in train mode, valid padding, a (1, 2, 2)
-# pool window and return_sequences in both settings.
+# One case per layer kind (the first layer of each case), plus settings no
+# builder uses: valid padding on conv2d, a (1, 2, 2) pool window, and
+# return_sequences both ways on each recurrent kind.
 _KIND_CASES = {
     "dense": ((3, 5), [LayerConfig("dense", units=4)]),
     "relu": ((2, 3), [LayerConfig("relu")]),
     "softmax": ((4,), [LayerConfig("softmax")]),
     "flatten": ((2, 3, 4), [LayerConfig("flatten")]),
-    "dropout_train": ((6, 2), [LayerConfig("dropout", rate=0.5)]),
     "conv2d_valid": ((7, 6, 2), [LayerConfig("conv2d", filters=3, kernel_size=(3, 2))]),
     "conv2d_same": ((5, 5, 1), [LayerConfig("conv2d", filters=2, kernel_size=(3, 3),
                                             padding="same")]),
@@ -462,7 +435,6 @@ _KIND_CASES = {
         LayerConfig("conv2d", filters=2, kernel_size=(3, 3)),
         LayerConfig("maxpool2d", kernel_size=(2, 2)),
         LayerConfig("flatten"),
-        LayerConfig("dropout", rate=0.25),
         LayerConfig("dense", units=3),
     ])]),
 }
@@ -478,11 +450,27 @@ class TestLayerRegistry:
         store = nn.init_params(layers, input_shape, Rng(1))
         assert store.names() == [p.name for p in plans]
         x = t32(np.random.default_rng(0).uniform(-1, 1, input_shape))
-        out = nn.apply_layers(layers, store, x, train=True, rng=Rng(0))
+        out = nn.apply_layers(layers, store, x)
         assert out.shape == out_shape
 
     def test_cases_cover_every_kind(self):
         assert {layers[0].kind for _, layers in _KIND_CASES.values()} == set(nn._KINDS)
+
+    def test_every_kind_has_a_builder(self):
+        # A layer kind that no architecture uses is code without a caller.
+        used = set()
+
+        def walk(layers):
+            for cfg in layers:
+                used.add(cfg.kind)
+                walk(cfg.wrapped or [])
+
+        for arch in models.ARCHITECTURES:
+            for trainable in (True, False):
+                spec = models.build(arch, models.DEFAULT_INPUT_SHAPE, 10,
+                                    feature_extractor_trainable=trainable)
+                walk(spec.layers)
+        assert used == set(nn._KINDS)
 
     def test_layer_functions_are_looked_up_at_call_time(self, monkeypatch):
         # perfbench/tracer.py swaps these module attributes to time each

@@ -144,6 +144,9 @@ class TestEarlyStopping:
             TrainingConfig(min_epochs=30, max_epochs=20)
         with pytest.raises(TrainingError):
             TrainingConfig(batch_size=0)
+        for lr in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(TrainingError):
+                TrainingConfig(learning_rate=lr)
 
 
 @pytest.fixture(scope="module")
@@ -281,7 +284,7 @@ for arch in sys.argv[1:]:
     spec = models.build(arch, shape, 4)
     params = models.init_model(spec, Rng(2))
     with tn.record() as tape:
-        probs = models.forward(spec, params, clip, train=True, rng=Rng(4))
+        probs = models.forward(spec, params, clip)
         truth = np.eye(4, dtype=np.float32)[[2]]
         loss = train.categorical_crossentropy(tn.reshape(probs, (1, 4)), truth)
     tape.backward(loss)
