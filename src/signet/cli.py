@@ -30,6 +30,7 @@ _PACKAGE_ERRORS = (
     NonFiniteError,
     TapeError,
     OSError,
+    MemoryError,
 )
 
 
@@ -87,6 +88,16 @@ def _parse_size(text: str) -> tuple[int, int]:
     return h, w
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def cmd_synth(args) -> int:
     count = data.generate_synthetic(
         args.out,
@@ -101,6 +112,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    cfg = train.TrainingConfig(
+        max_epochs=args.epochs,
+        min_epochs=min(15, args.epochs),
+        batch_size=args.batch_size,
+        learning_rate=args.lr,
+        patience=args.patience,
+        validation_split=args.val_split,
+        seed=args.seed,
+    )
     size_cfg = data.PreprocessConfig()
     manifest = data.load_dataset(args.data, size_cfg, seed=args.seed)
     spec = models.build(
@@ -112,15 +132,6 @@ def cmd_train(args) -> int:
             size_cfg.channels,
         ),
         num_classes=len(manifest.class_names),
-    )
-    cfg = train.TrainingConfig(
-        max_epochs=args.epochs,
-        min_epochs=min(15, args.epochs),
-        batch_size=args.batch_size,
-        learning_rate=args.lr,
-        patience=args.patience,
-        validation_split=args.val_split,
-        seed=args.seed,
     )
     params, history = train.fit(spec, manifest, cfg)
     modelio.save_model(spec, params, size_cfg, manifest.class_names, args.out)
@@ -229,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="top-K labels for one clip directory")
     p.add_argument("--model", required=True)
     p.add_argument("--clip", required=True)
-    p.add_argument("--top", type=int, default=2)
+    p.add_argument("--top", type=_positive_int, default=2)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("grade", help="grade one sign attempt")

@@ -15,6 +15,12 @@ and aligned to 8 bytes, and a 64-bit FNV-1a checksum of the payload. A
 loaded model is therefore self-describing: prediction needs nothing
 beyond the file. Saving the same model twice produces identical bytes.
 
+The checksum runs without a per-byte loop (see ``_fnv1a64``). Only the low
+byte of the FNV-1a state is nonlinear, and its 8 bit planes are prefix XORs
+taken lowest first. With the low bytes known, the state obeys the linear
+recurrence ``h_n = P * (h_(n-1) + d_n) mod 2^64``, summed against a table
+of powers of the FNV prime.
+
 One function, ``_header``, decides every header field but the checksum
 from the model spec, the preprocess config and the class names, and the
 preprocess config must produce clips of the spec's input shape.
@@ -82,10 +88,59 @@ class IncompleteParamsError(ModelFormatError):
     """Parameter store does not cover the model's parameter plan."""
 
 
-def _fnv1a64(data: bytes) -> int:
-    h = 0xCBF29CE484222325
-    for b in data:
-        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_CHUNK = 1 << 16
+# _POWERS[i] = P^(_CHUNK - i) mod 2^64, so the last n entries are P^n ... P^1.
+_POWERS = np.multiply.accumulate(np.full(_CHUNK, _FNV_PRIME, dtype=np.uint64))[::-1].copy()
+
+
+def _exclusive_prefix_xor(bits: np.ndarray, start: int) -> np.ndarray:
+    """``out[i] = start ^ b[0] ^ ... ^ b[i-1]`` as 0/1 uint8, b[j] = (bits[j] != 0).
+
+    The bits are packed into little-endian uint64 words; a shift ladder makes
+    each word its own inclusive prefix XOR, and the running parity of the
+    earlier words (plus ``start``) flips whole words.
+    """
+    n = bits.size
+    packed = np.zeros(-(-n // 64) * 8, dtype=np.uint8)
+    packed[: -(-n // 8)] = np.packbits(bits, bitorder="little")
+    words = packed.view("<u8")
+    w = words.copy()
+    for s in (1, 2, 4, 8, 16, 32):
+        w ^= w << np.uint64(s)
+    parity = w >> np.uint64(63)
+    carry = np.bitwise_xor.accumulate(parity)
+    carry ^= parity ^ np.uint64(start)
+    w ^= words
+    w ^= -carry
+    return np.unpackbits(w.view(np.uint8), count=n, bitorder="little")
+
+
+def _fnv1a64(data) -> int:
+    """64-bit FNV-1a of a bytes-like object, ``h = (h ^ b) * P mod 2^64`` per byte.
+
+    Computed 64 KiB at a time without a per-byte loop. The low byte ``l`` of
+    the state follows ``l' = ((l ^ b) * 0xB3) mod 256``, so bit k of ``l'`` is
+    bit k of ``l`` XOR bit k of ``((l mod 2^k) ^ b) * 0xB3``. Each bit plane
+    of the low bytes, lowest first, is therefore one prefix XOR of flips the
+    lower planes fix. With every low byte known, ``h ^ b = h + d`` where
+    ``d = (l ^ b) - l``, and the state after a chunk of m bytes is the linear
+    ``P^m h + sum(P^(m-n+1) d_n) mod 2^64``: one wrapping uint64 dot product
+    with ``_POWERS``.
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    h = _FNV_OFFSET
+    for start in range(0, buf.size, _CHUNK):
+        b = buf[start : start + _CHUNK]
+        low = np.zeros(b.size, dtype=np.uint8)
+        for k in range(8):
+            flips = ((low ^ b) * np.uint8(0xB3)) & np.uint8(1 << k)
+            low |= _exclusive_prefix_xor(flips, (h >> k) & 1) * np.uint8(1 << k)
+        d = np.subtract(low ^ b, low, dtype=np.int16).astype(np.uint64)  # wraps mod 2^64
+        powers = _POWERS[_CHUNK - b.size :]
+        h = (int(powers[0]) * h + int(np.dot(d, powers))) & _MASK64
     return h
 
 

@@ -269,3 +269,11 @@ def adam_unrolled(p0, grads, lr, b1=0.9, b2=0.999, eps=1e-7):
         vhat = v / (1 - b2**t)
         p -= lr * mhat / (math.sqrt(vhat) + eps)
     return p
+
+
+def fnv1a64_loop(data):
+    """64-bit FNV-1a, one byte at a time."""
+    h = 0xCBF29CE484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h

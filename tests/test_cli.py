@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +84,26 @@ class TestCommands:
                       "--clips-per-class", "1"])
         assert exc.value.code == 2
 
+    def test_synth_impossible_size_exits_1(self, tmp_path, capsys):
+        # numpy refuses a 71 PiB frame at once, without touching memory.
+        rc = cli.main(["synth", "--out", str(tmp_path / "x"), "--classes", "2",
+                       "--clips-per-class", "1", "--size", "99999999x99999999"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_python_m_signet_runs_the_cli(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "signet", "synth", "--out", str(tmp_path / "c"),
+             "--classes", "2", "--clips-per-class", "1", "--frames", "2",
+             "--size", "8x8"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "2 clips\n"
+        assert proc.stderr == ""
+
     def test_train_writes_model_and_history(self, tmp_path, tiny_corpus, capsys):
         out = tmp_path / "m.slm"
         hist = tmp_path / "h.csv"
@@ -105,6 +128,16 @@ class TestCommands:
                        "--out", str(tmp_path / "x.slm")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_train_config_checked_before_data_is_read(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("load_dataset called before the config was checked")
+
+        monkeypatch.setattr(data, "load_dataset", fail)
+        rc = cli.main(["train", "--data", str(tmp_path), "--arch", "cnn_td",
+                       "--out", str(tmp_path / "x.slm"), "--lr", "nan"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_evaluate_writes_report_and_matrix(self, trained, tiny_corpus, tmp_path, capsys):
         report = tmp_path / "report.txt"
@@ -140,6 +173,13 @@ class TestCommands:
         rc = cli.main(["predict", "--model", trained, "--clip", clip, "--top", "1"])
         assert rc == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
+
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_predict_top_below_one_is_usage_error(self, trained, tiny_corpus, top):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["predict", "--model", trained, "--clip", _a_clip_dir(tiny_corpus),
+                      "--top", top])
+        assert exc.value.code == 2
 
     def test_predict_ranking_matches_sort_and_agrees_with_grade(
         self, trained, tiny_corpus, capsys

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from signet import cli, models, modelio
 from signet.data import PreprocessConfig
 from signet.tensor import Rng
 
 SMALL = (6, 16, 16, 1)
 CLASSES = ["alpha", "beta", "gamma", "delta"]
+_C = modelio._CHUNK  # checksum chunk size in bytes
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +271,25 @@ class TestChecksum:
         assert modelio._fnv1a64(b"") == 0xCBF29CE484222325
         assert modelio._fnv1a64(b"a") == 0xAF63DC4C8601EC8C
         assert modelio._fnv1a64(b"foobar") == 0x85944171F73967E8
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.binary(max_size=4096),
+        st.builds(
+            lambda n, seed: np.random.default_rng(seed).bytes(n),
+            st.integers(0, 3 * modelio._CHUNK + 1),
+            st.integers(0, 2**32 - 1),
+        ),
+    ))
+    def test_matches_byte_loop(self, raw):
+        assert modelio._fnv1a64(raw) == oracles.fnv1a64_loop(raw)
+
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    @pytest.mark.parametrize("fill", [0x00, 0xFF])
+    @pytest.mark.parametrize("length", [0, 1, _C - 1, _C, _C + 1, 2 * _C + 7])
+    def test_runs_at_chunk_boundaries(self, wrap, fill, length):
+        raw = bytes([fill]) * length
+        assert modelio._fnv1a64(wrap(raw)) == oracles.fnv1a64_loop(raw)
 
 
 class TestFileFuzz:
