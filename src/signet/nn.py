@@ -15,9 +15,18 @@ Entries look layer functions up when they run (``dense(...)``,
 so a tracer that swaps module attributes, such as ``perfbench/tracer.py``,
 sees every call.
 
+Every per-time-step loop is ``_scan``: it slices the leading axis of a
+sequence and feeds each slice, with the carried state, to a step function.
+simple_rnn, lstm and convlstm2d are a shape check, a zero initial state and
+a step; time_distributed is a stateless step. ``_packed_shapes`` states the
+packed recurrent layout, kernel (k..., Cin, gates*U), recurrent kernel
+(k..., U, gates*U) and bias (gates*U,), for both the layer functions' check
+and the registry's trace.
+
 Gate packing for lstm and convlstm2d is (i, f, g, o) along the last axis
-of the packed kernels; serialized weights depend on this order, which
-``_lstm_cell`` alone decides.
+of the packed kernels, and serialized weights depend on this order. Two
+places encode it: ``_lstm_cell`` slices the gates in that order, and
+``init_params`` opens the forget slice ``[U:2U]`` of a ``gate_bias`` bias.
 """
 
 from __future__ import annotations
@@ -76,14 +85,10 @@ class LayerConfig:
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
-        for key in ("units", "filters"):
+        for key in ("units", "filters", "kernel_size", "padding"):
             v = getattr(self, key)
             if v is not None:
-                d[key] = v
-        if self.kernel_size is not None:
-            d["kernel_size"] = list(self.kernel_size)
-        if self.padding is not None:
-            d["padding"] = self.padding
+                d[key] = list(v) if key == "kernel_size" else v
         if _KINDS[self.kind].recurrent:
             d["return_sequences"] = self.return_sequences
         if not self.trainable:
@@ -148,6 +153,37 @@ def dense(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     return tn.reshape(out, lead + (k_out,))
 
 
+def _scan(seq: Tensor, step: Callable, state, return_sequences: bool = True) -> Tensor:
+    """Run ``step`` over the leading (time) axis of ``seq``.
+
+    For each t, ``out, state = step(x_t, state)`` where ``x_t`` is the
+    (1, ...) slice at t. Returns the outputs stacked on a new leading axis,
+    or only the last one.
+    """
+    outputs = []
+    for t in range(seq.shape[0]):
+        out, state = step(tn.narrow(seq, 0, t, 1), state)
+        outputs.append(out)
+    return tn.stack(outputs, axis=0) if return_sequences else outputs[-1]
+
+
+def _packed_shapes(k_sp: tuple, cin: int, units: int, gates: int) -> tuple:
+    """Kernel (k..., Cin, gates*U), recurrent kernel (k..., U, gates*U) and
+    bias (gates*U,) shapes of a recurrent layer; k is empty unless convolutional."""
+    return k_sp + (cin, gates * units), k_sp + (units, gates * units), (gates * units,)
+
+
+def _check_recurrent(op, seq, kernel, recurrent_kernel, bias, gates: int, nd: int = 0) -> int:
+    """Check a recurrent layer's input rank and packed shapes; returns its units."""
+    if seq.data.ndim != nd + 2:
+        raise ShapeError(f"{op}: input must be {nd + 2}-d, got {seq.shape}")
+    units = bias.numel // gates
+    got = (kernel.shape, recurrent_kernel.shape, bias.shape)
+    if got != _packed_shapes(kernel.shape[:nd], seq.shape[-1], units, gates):
+        raise ShapeError(f"{op}: parameter shapes {got} do not fit input {seq.shape}")
+    return units
+
+
 def _lstm_cell(gates: Tensor, c: Tensor, units: int) -> tuple[Tensor, Tensor]:
     """New (h, c) from gate pre-activations packed (i, f, g, o) on the last axis.
 
@@ -168,22 +204,14 @@ def simple_rnn(
     return_sequences: bool = False,
 ) -> Tensor:
     """h_t = tanh(x_t . Wx + h_{t-1} . Wh + b) from a zero initial state."""
-    steps, dim = seq.shape
-    units = kernel.shape[1]
-    if kernel.shape != (dim, units) or recurrent_kernel.shape != (units, units):
-        raise ShapeError(
-            f"simple_rnn: kernels {kernel.shape}/{recurrent_kernel.shape} do not fit input {seq.shape}"
-        )
-    h = Tensor(np.zeros((1, units), dtype=seq.data.dtype))
-    brow = tn.reshape(bias, (1, units))
-    outputs = []
-    for t in range(steps):
-        x_t = tn.narrow(seq, 0, t, 1)
+    units = _check_recurrent("simple_rnn", seq, kernel, recurrent_kernel, bias, gates=1)
+    brow = tn.reshape(bias, (1, bias.numel))
+
+    def step(x_t, h):
         h = tn.tanh(tn.add(tn.add(tn.matmul(x_t, kernel), tn.matmul(h, recurrent_kernel)), brow))
-        outputs.append(tn.reshape(h, (units,)))
-    if return_sequences:
-        return tn.stack(outputs, axis=0)
-    return outputs[-1]
+        return tn.reshape(h, (units,)), h
+
+    return _scan(seq, step, Tensor(np.zeros((1, units), dtype=seq.data.dtype)), return_sequences)
 
 
 def lstm(
@@ -198,28 +226,16 @@ def lstm(
     Gates i, f, g, o come from one packed (D, 4U) kernel and (U, 4U)
     recurrent kernel; ``_lstm_cell`` applies them.
     """
-    steps, dim = seq.shape
-    units = recurrent_kernel.shape[0]
-    if kernel.shape != (dim, 4 * units) or recurrent_kernel.shape != (units, 4 * units):
-        raise ShapeError(
-            f"lstm: kernels {kernel.shape}/{recurrent_kernel.shape} do not fit input {seq.shape}"
-        )
-    if bias.shape != (4 * units,):
-        raise ShapeError(f"lstm: bias shape {bias.shape} != ({4 * units},)")
-    zeros = np.zeros((1, units), dtype=seq.data.dtype)
-    h, c = Tensor(zeros), Tensor(zeros.copy())
-    brow = tn.reshape(bias, (1, 4 * units))
-    outputs = []
-    for t in range(steps):
-        x_t = tn.narrow(seq, 0, t, 1)
-        gates = tn.add(
-            tn.add(tn.matmul(x_t, kernel), tn.matmul(h, recurrent_kernel)), brow
-        )
-        h, c = _lstm_cell(gates, c, units)
-        outputs.append(tn.reshape(h, (units,)))
-    if return_sequences:
-        return tn.stack(outputs, axis=0)
-    return outputs[-1]
+    units = _check_recurrent("lstm", seq, kernel, recurrent_kernel, bias, gates=4)
+    brow = tn.reshape(bias, (1, bias.numel))
+
+    def step(x_t, state):
+        gates = tn.add(tn.add(tn.matmul(x_t, kernel), tn.matmul(state[0], recurrent_kernel)), brow)
+        h, c = _lstm_cell(gates, state[1], units)
+        return tn.reshape(h, (units,)), (h, c)
+
+    zero = Tensor(np.zeros((1, units), dtype=seq.data.dtype))
+    return _scan(seq, step, (zero, zero), return_sequences)
 
 
 def convlstm2d(
@@ -234,31 +250,18 @@ def convlstm2d(
     Input is (T, H, W, Cin); kernels are (kH, kW, Cin, 4U) and
     (kH, kW, U, 4U). Same-padding, stride 1, so spatial extents persist.
     """
-    if seq.data.ndim != 4:
-        raise ShapeError(f"convlstm2d: input must be (T, H, W, C), got {seq.shape}")
-    steps, height, width, cin = seq.shape
-    units = recurrent_kernel.shape[2]
-    kh, kw = kernel.shape[0], kernel.shape[1]
-    if kernel.shape != (kh, kw, cin, 4 * units) or recurrent_kernel.shape != (kh, kw, units, 4 * units):
-        raise ShapeError(
-            f"convlstm2d: kernels {kernel.shape}/{recurrent_kernel.shape} do not fit input {seq.shape}"
-        )
-    if bias.shape != (4 * units,):
-        raise ShapeError(f"convlstm2d: bias shape {bias.shape} != ({4 * units},)")
-    zeros = np.zeros((height, width, units), dtype=seq.data.dtype)
-    h, c = Tensor(zeros), Tensor(zeros.copy())
-    outputs = []
-    for t in range(steps):
-        x_t = tn.reshape(tn.narrow(seq, 0, t, 1), (height, width, cin))
+    units = _check_recurrent("convlstm2d", seq, kernel, recurrent_kernel, bias, gates=4, nd=2)
+
+    def step(x_t, state):
         gates = tn.add(
-            tn.conv2d(x_t, kernel, bias, padding="same", stride=1),
-            tn.conv2d(h, recurrent_kernel, None, padding="same", stride=1),
+            tn.conv2d(tn.reshape(x_t, seq.shape[1:]), kernel, bias, padding="same", stride=1),
+            tn.conv2d(state[0], recurrent_kernel, None, padding="same", stride=1),
         )
-        h, c = _lstm_cell(gates, c, units)
-        outputs.append(h)
-    if return_sequences:
-        return tn.stack(outputs, axis=0)
-    return outputs[-1]
+        h, c = _lstm_cell(gates, state[1], units)
+        return h, (h, c)
+
+    zero = Tensor(np.zeros(seq.shape[1:3] + (units,), dtype=seq.data.dtype))
+    return _scan(seq, step, (zero, zero), return_sequences)
 
 
 def time_distributed(apply_frame, seq: Tensor) -> Tensor:
@@ -267,13 +270,7 @@ def time_distributed(apply_frame, seq: Tensor) -> Tensor:
     ``apply_frame`` must close over a single shared parameter set, so the
     gradient w.r.t. those parameters is the sum over frames.
     """
-    steps = seq.shape[0]
-    frame_shape = seq.shape[1:]
-    outputs = []
-    for t in range(steps):
-        frame = tn.reshape(tn.narrow(seq, 0, t, 1), frame_shape)
-        outputs.append(apply_frame(frame))
-    return tn.stack(outputs, axis=0)
+    return _scan(seq, lambda x_t, _: (apply_frame(tn.reshape(x_t, seq.shape[1:])), None), None)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +364,9 @@ def _maxpool(nd: int) -> _Kind:
 def _recurrent(gates: int, bias_init: str, nd: int = 0) -> _Kind:
     """simple_rnn (1 gate) or lstm (4 gates) over (T, D); convlstm2d with nd=2.
 
-    Kernels are (k..., Cin, gates*U) and (k..., U, gates*U), where the
-    spatial kernel extents k are empty unless nd > 0.
+    Parameter shapes come from ``_packed_shapes``.
     """
+    suffixes = ("kernel", "recurrent_kernel", "bias")
 
     def check(cfg):
         _check_units(cfg)
@@ -380,18 +377,14 @@ def _recurrent(gates: int, bias_init: str, nd: int = 0) -> _Kind:
 
     def trace(cfg, shape):
         _check_rank(cfg, shape, nd + 2)
-        k_sp, u = (cfg.kernel_size if nd else ()), cfg.units
         out = shape[:-1] if cfg.return_sequences else shape[1:-1]
-        return out + (u,), [
-            ("kernel", k_sp + (shape[-1], gates * u), "glorot"),
-            ("recurrent_kernel", k_sp + (u, gates * u), "glorot"),
-            ("bias", (gates * u,), bias_init),
-        ]
+        packed = _packed_shapes(cfg.kernel_size if nd else (), shape[-1], cfg.units, gates)
+        return out + (cfg.units,), list(zip(suffixes, packed, ("glorot", "glorot", bias_init)))
 
     def apply(cfg, x, params, *_):
         return globals()[cfg.kind](x, *params, return_sequences=cfg.return_sequences)
 
-    return _Kind(apply, trace, check, ("kernel", "recurrent_kernel", "bias"), recurrent=True)
+    return _Kind(apply, trace, check, suffixes, recurrent=True)
 
 
 def _check_time_distributed(cfg):
@@ -502,9 +495,18 @@ def apply_layers(
 
     Each layer runs through its kind's entry in ``_KINDS`` with the
     parameters that ``trace_layers`` names for it, fetched from ``store``.
+    A ShapeError or NonFiniteError leaves with the name of the innermost
+    layer it came from, such as ``layer0_time_distributed/td7_dense``,
+    prefixed to its message once.
     """
     for i, cfg in enumerate(layers):
         name = f"{prefix}{i}_{cfg.kind}/"
         kind = _KINDS[cfg.kind]
-        x = kind.apply(cfg, x, [store[name + s] for s in kind.params], store, name)
+        try:
+            x = kind.apply(cfg, x, [store[name + s] for s in kind.params], store, name)
+        except (ShapeError, tn.NonFiniteError) as exc:
+            if not hasattr(exc, "layer"):
+                exc.layer = name[:-1]
+                exc.args = (f"{exc.layer}: {exc}",)
+            raise
     return x

@@ -299,7 +299,9 @@ class Tape:
     """Ordered record of operations for one reverse pass.
 
     Nodes are appended in execution order, which is a topological order by
-    construction; ``backward`` walks them once, in reverse. Entering a tape
+    construction; ``backward`` walks them once, in reverse, and a tape runs
+    backward at most once, since its tensors keep the gradients of the
+    first pass. ``nodes`` stays readable afterwards. Entering a tape
     makes it the active one in the current thread only, so tapes opened in
     concurrent threads never record each other's operations.
     """
@@ -307,6 +309,7 @@ class Tape:
     def __init__(self):
         self.nodes: list[_Node] = []
         self._produced: set[int] = set()
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         self._token = _TAPE.set(self)
@@ -322,6 +325,9 @@ class Tape:
             raise TapeError(f"loss must be scalar, got shape {loss.shape}")
         if id(loss) not in self._produced:
             raise TapeError("loss was not produced under this tape")
+        if self._spent:
+            raise TapeError("backward already ran on this tape; record a new one")
+        self._spent = True
         loss.grad = np.ones_like(loss.data)
         for node in reversed(self.nodes):
             gout = node.out.grad
@@ -360,6 +366,13 @@ def _same_dtype(*tensors: Tensor):
                 f"mixed dtypes {dt} vs {t.data.dtype}; build the graph in one precision"
             )
     return dt
+
+
+def _axis(op: str, axis: int, ndim: int) -> int:
+    """``axis`` as an index in [0, ndim); negative axes count from the end."""
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"{op}: axis {axis} outside a {ndim}-d tensor")
+    return axis % ndim
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -499,8 +512,7 @@ def tanh(a: Tensor) -> Tensor:
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Shift-stabilized softmax along ``axis``."""
     x = a.data
-    if x.shape[axis] < 1:
-        raise ShapeError("softmax needs at least one class")
+    axis = _axis("softmax", axis, x.ndim)
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     denom = _ordered_sum(e, axis=axis, keepdims=True)
@@ -532,10 +544,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice of ``length`` elements along ``axis``; negative axes count from the end."""
-    ndim = a.data.ndim
-    if not -ndim <= axis < ndim:
-        raise ShapeError(f"narrow: axis {axis} outside a {ndim}-d tensor")
-    axis %= ndim
+    axis = _axis("narrow", axis, a.data.ndim)
     extent = a.shape[axis]
     if start < 0 or length < 1 or start + length > extent:
         raise ShapeError(f"narrow [{start}:{start + length}] outside extent {extent}")
@@ -557,6 +566,7 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
         raise ShapeError("stack of zero tensors")
     _same_dtype(*tensors)
     base = tensors[0].shape
+    axis = _axis("stack", axis, len(base) + 1)
     for t in tensors[1:]:
         if t.shape != base:
             raise ShapeError(f"stack: mismatched shapes {base} vs {t.shape}")
@@ -589,6 +599,8 @@ def _ordered_sum(x: np.ndarray, axis, keepdims: bool = False) -> np.ndarray:
 
 
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
+    if axis is not None:
+        axis = _axis("reduce_sum", axis, a.data.ndim)
     out = _ordered_sum(a.data, axis)
     ash = a.shape
 
@@ -601,6 +613,8 @@ def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
 
 
 def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
+    if axis is not None:
+        axis = _axis("reduce_mean", axis, a.data.ndim)
     n = a.numel if axis is None else a.shape[axis]
     summed = _ordered_sum(a.data, axis)
     out = summed / np.asarray(n, dtype=a.data.dtype)

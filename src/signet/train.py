@@ -190,13 +190,20 @@ def early_stopping_check(val_losses: list[float], patience: int, min_epochs: int
     return (len(val_losses) - 1 - best_index) >= patience
 
 
-def _clip_loss_acc(spec, params, sample, num_classes):
-    probs = models.predict_probs(spec, params, sample.frames)
+def _clip_loss(spec, params, sample, num_classes):
+    """Cross-entropy of one clip, as a tensor, and 1.0 if its top class is the label.
+
+    Training calls it under a tape and validation without one. A ShapeError
+    or NonFiniteError leaves naming the clip.
+    """
+    try:
+        probs = models.forward(spec, params, Tensor(sample.frames))
+    except (ShapeError, tn.NonFiniteError) as exc:
+        exc.args = (f"clip {sample.clip_id}: {exc}",)
+        raise
     truth = one_hot([sample.label_index], num_classes)
-    pred = Tensor(probs.reshape(1, -1))
-    loss = categorical_crossentropy(pred, truth).item()
-    correct = float(probs.argmax() == sample.label_index)
-    return loss, correct
+    loss = categorical_crossentropy(tn.reshape(probs, (1, num_classes)), truth)
+    return loss, float(probs.data.argmax() == sample.label_index)
 
 
 def fit(spec: ModelSpec, manifest: DatasetManifest, cfg: TrainingConfig) -> tuple[ParameterStore, History]:
@@ -235,35 +242,33 @@ def fit(spec: ModelSpec, manifest: DatasetManifest, cfg: TrainingConfig) -> tupl
     val_losses: list[float] = []
     for epoch in range(1, cfg.max_epochs + 1):
         rng.shuffle(pool)
-        loss_sum = 0.0
-        correct = 0.0
-        for start in range(0, len(pool), cfg.batch_size):
-            batch = pool[start : start + cfg.batch_size]
-            params.zero_grads()
-            inv = 1.0 / len(batch)
-            for sample in batch:
-                clip_t = Tensor(sample.frames)
-                truth = one_hot([sample.label_index], num_classes)
-                with tn.record() as tape:
-                    probs = models.forward(spec, params, clip_t)
-                    pred = tn.reshape(probs, (1, num_classes))
-                    loss = categorical_crossentropy(pred, truth)
-                    scaled = tn.scale(loss, inv)  # batch loss = mean over clips
-                tape.backward(scaled)
-                loss_sum += loss.item()
-                correct += float(probs.data.argmax() == sample.label_index)
-            adam_step(params, state, cfg.learning_rate)
-        train_loss = loss_sum / len(pool)
-        train_acc = correct / len(pool)
+        loss_sum = correct = 0.0
+        try:
+            for start in range(0, len(pool), cfg.batch_size):
+                batch = pool[start : start + cfg.batch_size]
+                params.zero_grads()
+                inv = 1.0 / len(batch)
+                for sample in batch:
+                    with tn.record() as tape:
+                        loss, hit = _clip_loss(spec, params, sample, num_classes)
+                        scaled = tn.scale(loss, inv)  # batch loss = mean over clips
+                    tape.backward(scaled)
+                    loss_sum += loss.item()
+                    correct += hit
+                adam_step(params, state, cfg.learning_rate)
+            train_loss = loss_sum / len(pool)
+            train_acc = correct / len(pool)
 
-        v_loss_sum = 0.0
-        v_correct = 0.0
-        for sample in val_set:
-            loss, ok = _clip_loss_acc(spec, params, sample, num_classes)
-            v_loss_sum += loss
-            v_correct += ok
-        val_loss = v_loss_sum / len(val_set)
-        val_acc = v_correct / len(val_set)
+            v_loss_sum = v_correct = 0.0
+            for sample in val_set:
+                loss, hit = _clip_loss(spec, params, sample, num_classes)
+                v_loss_sum += loss.item()
+                v_correct += hit
+            val_loss = v_loss_sum / len(val_set)
+            val_acc = v_correct / len(val_set)
+        except (ShapeError, tn.NonFiniteError) as exc:
+            exc.args = (f"epoch {epoch}: {exc}",)
+            raise
 
         history.records.append(EpochRecord(epoch, train_loss, train_acc, val_loss, val_acc))
         val_losses.append(val_loss)

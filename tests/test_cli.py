@@ -1,10 +1,14 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from signet import cli, data, models, modelio, train
 from signet.cli import GradeResult, band_for_grade, grade_from_probabilities
@@ -217,3 +221,104 @@ class TestCommands:
         rc = cli.main(["predict", "--model", str(bad), "--clip", _a_clip_dir(tiny_corpus)])
         assert rc == 1
         assert "not a model file" in capsys.readouterr().err
+
+
+_BIG = "123456789012345678901234567890"
+_INTS = ["1", "2", "0", "-1", _BIG, "-" + _BIG]
+_FLOATS = ["0.5", "1e3", "0", "-1", "nan", "inf", "-inf"]
+# Paths name what the argv_files fixture writes into each example's directory.
+# Hypothesis favours the first entry of a list, so it is a well-formed value.
+_OUTPUTS = ["out", "adir", "empty.slm", "missing/out"]
+_FLAG_VALUES = {
+    "--model": ["model.slm", "corrupt.slm", "empty.slm", "adir", "missing"],
+    "--clip": ["clip", "adir", "empty.slm", "missing"],
+    "--data": ["clip", "adir", "empty.slm", "missing"],
+    "--out": _OUTPUTS, "--history": _OUTPUTS, "--report": _OUTPUTS, "--matrix": _OUTPUTS,
+    "--classes": _INTS + ["9"], "--clips-per-class": _INTS, "--seed": _INTS,
+    "--frames": _INTS, "--epochs": _INTS, "--batch-size": _INTS, "--patience": _INTS,
+    "--top": _INTS, "--lr": _FLOATS, "--val-split": _FLOATS,
+    "--size": ["2x2", "1x1", "8x8", "0x3", "3x", "x", "", _BIG],
+    "--arch": [*models.ARCHITECTURES, "bogus"],
+}
+_COMMAND_FLAGS = {
+    "synth": ["--out", "--classes", "--clips-per-class", "--seed", "--frames", "--size"],
+    "train": ["--data", "--arch", "--out", "--epochs", "--batch-size", "--lr", "--patience",
+              "--val-split", "--seed", "--history"],
+    "evaluate": ["--model", "--data", "--report", "--matrix", "--seed"],
+    "predict": ["--model", "--clip", "--top"],
+    "grade": ["--model", "--clip"],
+}
+_TOKENS = sorted({*_COMMAND_FLAGS, *_FLAG_VALUES, "-h", "--help", "--",
+                  *(v for values in _FLAG_VALUES.values() for v in values)})
+
+
+@st.composite
+def _argv(draw):
+    """Any tokens at all, or one command with most of its flags and stray tokens."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.sampled_from(_TOKENS), max_size=8))
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv = [command]
+    # Hypothesis favours small draws, so 0 stands for the well-formed choice.
+    for flag in _COMMAND_FLAGS[command]:
+        if draw(st.integers(0, 7)) < 7:
+            values = _TOKENS if draw(st.integers(0, 15)) == 15 else _FLAG_VALUES[flag]
+            argv += [flag, draw(st.sampled_from(values))]
+    if draw(st.integers(0, 3)) == 3:
+        argv += draw(st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=2))
+    return argv
+
+
+def _starts_long_work(argv):
+    # synth writes every clip and frame it is asked for; "--clip" abbreviates
+    # "--clips-per-class" there.
+    counts = ("--clips-per-class", "--clip", "--frames")
+    return any(a in counts and b == _BIG for a, b in zip(argv, argv[1:]))
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """name -> bytes (a file) or None (an empty directory) for the argv fuzz."""
+    root = tmp_path_factory.mktemp("argv")
+    spec = models.build("cnn_td", (2, 8, 8, 1), 2)
+    modelio.save_model(spec, models.init_model(spec, Rng(0)), PreprocessConfig(8, 8, 1, 2),
+                       ["a", "b"], str(root / "model.slm"))
+    frame = data.encode_pgm(np.arange(64, dtype=np.uint8).reshape(8, 8))
+    model = (root / "model.slm").read_bytes()
+    return {
+        "model.slm": model,
+        "corrupt.slm": model[:40] + bytes(8) + model[48:],
+        "empty.slm": b"",
+        "adir": None,
+        "clip/frame_000.pgm": frame,
+        "clip/frame_001.pgm": frame,
+    }
+
+
+class TestArgvFuzz:
+    """cli.main returns 0, 1 or 2, or argparse exits with 0 or 2, and nothing else escapes."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(argv=_argv())
+    def test_main_exits_0_1_or_2(self, argv_files, argv):
+        assume(not _starts_long_work(argv))
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, raw in argv_files.items():
+                path = Path(tmp, name)
+                if raw is None:
+                    path.mkdir()
+                else:
+                    path.parent.mkdir(exist_ok=True)
+                    path.write_bytes(raw)
+            os.chdir(tmp)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    rc = cli.main(argv)
+            except SystemExit as exc:
+                assert exc.code in (0, 2), argv
+            else:
+                assert rc in (0, 1, 2), argv
+            finally:
+                os.chdir(cwd)

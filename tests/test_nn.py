@@ -228,6 +228,45 @@ class TestTimeDistributed:
         assert np.abs(w.grad - per_frame).max() < 1e-12
 
 
+class TestRecurrentShapeCheck:
+    """One check covers the input rank, both kernels and the bias of each recurrent layer."""
+
+    # Shapes of (seq, kernel, recurrent_kernel, bias) that fit each other.
+    FITS = {
+        "simple_rnn": ((4, 3), (3, 2), (2, 2), (2,)),
+        "lstm": ((4, 3), (3, 8), (2, 8), (8,)),
+        "convlstm2d": ((2, 5, 5, 3), (3, 3, 3, 8), (3, 3, 2, 8), (8,)),
+    }
+
+    @pytest.mark.parametrize("op", list(FITS))
+    @pytest.mark.parametrize("wrong", [None, 0, 1, 2, 3])
+    def test_an_extra_axis_anywhere_is_rejected(self, op, wrong):
+        # A (U, 1) simple_rnn bias has the right size and used to pass.
+        shapes = [s + (1,) if i == wrong else s for i, s in enumerate(self.FITS[op])]
+        args = [t32(np.full(s, 0.1)) for s in shapes]
+        if wrong is None:
+            units = shapes[2][-2]
+            assert getattr(nn, op)(*args).shape == shapes[0][1:-1] + (units,)
+        else:
+            with pytest.raises(ShapeError):
+                getattr(nn, op)(*args)
+
+
+class TestErrorContext:
+    @pytest.mark.parametrize("layers, shape, layer", [
+        ([LayerConfig("dense", units=2)], (2, 3), "layer0_dense"),
+        ([LayerConfig("time_distributed", wrapped=[LayerConfig("flatten"),
+                                                   LayerConfig("dense", units=2)])],
+         (2, 3, 3), "layer0_time_distributed/td1_dense"),
+    ])
+    def test_overflow_names_the_innermost_layer_once(self, layers, shape, layer):
+        store = nn.init_params(layers, shape, Rng(0))
+        store[layer + "/kernel"].data[...] = 3e38
+        with pytest.raises(tn.NonFiniteError) as exc:
+            nn.apply_layers(layers, store, t32(np.ones(shape)))
+        assert str(exc.value) == f"{layer}: matmul produced non-finite values"
+
+
 class TestLayerConfig:
     def test_time_distributed_rejects_recurrent_wrapped(self):
         with pytest.raises(ShapeError):

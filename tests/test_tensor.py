@@ -143,6 +143,36 @@ class TestTensorBasics:
         with pytest.raises(ShapeError):
             tn.narrow(t32(np.ones((3, 4))), axis, 0, 1)
 
+    AXIS_OPS = {
+        "narrow": lambda x, axis: tn.narrow(x, axis, 0, 1),
+        "stack": lambda x, axis: tn.stack([x, tn.scale(x, 2.0)], axis=axis),
+        "softmax": lambda x, axis: tn.softmax(x, axis=axis),
+        "reduce_sum": lambda x, axis: tn.reduce_sum(x, axis=axis),
+        "reduce_mean": lambda x, axis: tn.reduce_mean(x, axis=axis),
+    }
+
+    @pytest.mark.parametrize("op", list(AXIS_OPS))
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_axis_out_of_range_is_shape_error(self, op, side):
+        rank = 2 + (op == "stack")  # stack's output has one more axis
+        axis = rank if side == "above" else -rank - 1
+        with pytest.raises(ShapeError):
+            self.AXIS_OPS[op](t32(np.ones((3, 4))), axis)
+
+    # narrow has its own negative-axis test above.
+    @pytest.mark.parametrize("op", [op for op in AXIS_OPS if op != "narrow"])
+    def test_negative_axis_matches_positive(self, op):
+        xv = np.random.default_rng(3).uniform(-1, 1, (3, 4)).astype(np.float32)
+        results = []
+        for axis in (1, -1 - (op == "stack")):
+            x = Tensor(xv, requires_grad=True)
+            with tn.record() as tape:
+                out = self.AXIS_OPS[op](x, axis)
+                loss = tn.reduce_sum(tn.mul(out, out))
+            tape.backward(loss)
+            results.append((out.data.tobytes(), out.shape, x.grad.tobytes()))
+        assert results[0] == results[1]
+
 
 # ---------------------------------------------------------------------------
 # matmul / reductions
@@ -379,6 +409,20 @@ class TestBackward:
             assert not t.is_alive()
         assert errors == []
         assert grads == {"a": [2.0, 2.0, 2.0], "b": [4.0, 4.0, 4.0]}
+
+    def test_second_backward_raises_and_keeps_first_gradients(self):
+        # A second pass would start from the first pass's intermediate grads.
+        x, w = t32([3.0]), t32([2.0], requires_grad=True)
+        with tn.record() as tape:
+            y = tn.mul(x, w)
+            loss = tn.reduce_sum(tn.mul(y, y))
+        tape.backward(loss)
+        assert w.grad.tolist() == [36.0]
+        nodes = len(tape.nodes)
+        with pytest.raises(TapeError):
+            tape.backward(loss)
+        assert w.grad.tolist() == [36.0]
+        assert len(tape.nodes) == nodes
 
     def test_non_scalar_loss_rejected(self):
         x = t32([1.0, 2.0], requires_grad=True)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -239,6 +240,15 @@ class TestFit:
             assert np.array_equal(pa[name].data, pb[name].data)
         # Metrics on the validation split do change.
         assert ha.to_csv() != hb.to_csv()
+
+    def test_divergence_names_the_clip_and_epoch(self, small_manifest):
+        spec = models.build("cnn3d", (6, 16, 16, 1), 2)
+        with pytest.raises(tn.NonFiniteError) as exc:
+            train.fit(spec, small_manifest, _small_cfg(learning_rate=1e6))
+        found = re.fullmatch(r"epoch (\d+): clip (\S+): layer\d+_\w+: .+", str(exc.value))
+        assert found, str(exc.value)
+        assert 1 <= int(found[1]) <= 3
+        assert found[2] in {s.clip_id for s in small_manifest.train}
 
     def test_empty_training_set_rejected(self, small_manifest):
         spec = models.build("cnn_td", (6, 16, 16, 1), 2)
