@@ -8,6 +8,7 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 
@@ -111,6 +112,17 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _check_destination(flag: str, path: str) -> None:
+    """Raise OSError unless ``path`` can be created or replaced as a file."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise OSError(f"{flag} {path}: {parent} is not an existing directory")
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise OSError(f"{flag} {path}: directory {parent} is not writable")
+    if os.path.isdir(path):
+        raise OSError(f"{flag} {path}: is a directory")
+
+
 def cmd_train(args) -> int:
     cfg = train.TrainingConfig(
         max_epochs=args.epochs,
@@ -121,6 +133,9 @@ def cmd_train(args) -> int:
         validation_split=args.val_split,
         seed=args.seed,
     )
+    _check_destination("--out", args.out)
+    if args.history:
+        _check_destination("--history", args.history)
     size_cfg = data.PreprocessConfig()
     manifest = data.load_dataset(args.data, size_cfg, seed=args.seed)
     spec = models.build(

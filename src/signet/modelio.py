@@ -32,8 +32,11 @@ header equals ``_header`` of what it rebuilt, so it loads exactly the files
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import re
+import secrets
 import struct
 
 import numpy as np
@@ -221,6 +224,9 @@ def save_model(
 ) -> None:
     """Write an SLM1 file; byte-identical output for identical inputs.
 
+    The file appears at ``path`` whole or not at all: it is written to a
+    temporary file in the same directory and renamed over ``path``.
+
     Raises ``IncompleteParamsError`` if the class names or parameters do not
     cover the model, and ``IncompatibleModelError`` if the preprocess config
     does not produce clips of the model's input shape.
@@ -245,12 +251,20 @@ def save_model(
     prefix_len = len(MAGIC) + 4 + len(header_bytes)
     pad = _align8(prefix_len) - prefix_len
 
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(b"\x00" * pad)
-        fh.write(payload)
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(header_bytes)))
+            fh.write(header_bytes)
+            fh.write(b"\x00" * pad)
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, list[str]]:

@@ -9,7 +9,11 @@ training.
 Reproducibility rules, fixed for every kernel:
 
 * ``matmul`` and the reduce ops accumulate strictly in ascending index
-  order in the working dtype.
+  order in the working dtype. The matmul fold is one fold vectorised two
+  ways: along k with ``np.add.accumulate`` when K is long against the
+  output (every forward matmul of the builders), and over the (M, N)
+  output, one in-place add per k-slice, when K is short (the weight
+  gradients); both give the bits of the scalar loop.
 * convolutions accumulate in 64-bit precision and round once on output.
 * max pooling breaks ties toward the first cell in row-major scan order.
 * kernels never reassociate accumulations, so results are bit-identical
@@ -513,7 +517,8 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Shift-stabilized softmax along ``axis``."""
     x = a.data
     axis = _axis("softmax", axis, x.ndim)
-    shifted = x - x.max(axis=axis, keepdims=True)
+    with np.errstate(over="ignore"):
+        shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     denom = _ordered_sum(e, axis=axis, keepdims=True)
     out = e / denom
@@ -638,21 +643,39 @@ def _ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b with per-element accumulation strictly in ascending k order.
 
     Equivalent, bit for bit, to the scalar triple loop
-    ``for k: out[m, n] += a[m, k] * b[k, n]`` in the working dtype. K is
-    folded in chunks of ``max(1, _MATMUL_BLOCK_ELEMS // (M * N))`` rows: each
-    chunk's products are summed in order by ``np.add.accumulate``, after the
-    running sum is added into the chunk's first product. IEEE addition is
-    commutative, so ``first + carry`` is the fold's next step exactly.
+    ``for k: out[m, n] += a[m, k] * b[k, n]`` in the working dtype, with the
+    first product taken as is (so a -0.0 survives). K is multiplied out in
+    chunks of ``max(1, _MATMUL_BLOCK_ELEMS // (M * N))`` rows, and the one
+    ascending fold is vectorised one of two ways, chosen from the shapes:
+
+    * along k (``M * N <= 4 * K``, every forward matmul of the builders):
+      ``np.add.accumulate`` sums each chunk's products in order, after the
+      running sum is added into the chunk's first product;
+    * over the (M, N) output (``M * N > 4 * K``, the short-K weight
+      gradients): ``out`` starts as the first product and each later k-slice
+      is added into it in place. With K = 1 the result is the product itself.
+
+    IEEE addition is commutative, so ``first + carry`` and ``out + p_k`` are
+    the fold's next step exactly. Overflow is left to the caller's
+    finiteness check rather than reported by numpy.
     """
     m, k = a.shape
     n = b.shape[1]
     step = max(1, _MATMUL_BLOCK_ELEMS // (m * n))
+    over_output = m * n > 4 * k
     out = None
-    for lo in range(0, k, step):
-        prod = a[:, lo : lo + step, None] * b[None, lo : lo + step, :]
-        if out is not None:
-            prod[:, 0] += out
-        out = np.add.accumulate(prod, axis=1)[:, -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, k, step):
+            prod = a[:, lo : lo + step, None] * b[None, lo : lo + step, :]
+            if over_output:
+                if out is None:
+                    out, prod = np.ascontiguousarray(prod[:, 0]), prod[:, 1:]
+                for j in range(prod.shape[1]):
+                    out += prod[:, j]
+            else:
+                if out is not None:
+                    prod[:, 0] += out
+                out = np.add.accumulate(prod, axis=1)[:, -1]
     return out
 
 

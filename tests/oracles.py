@@ -277,3 +277,23 @@ def fnv1a64_loop(data):
     for b in data:
         h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return h
+
+
+# Elements in one (M, chunk, N) product block of the reference fold.
+MATMUL_BLOCK_ELEMS = 1 << 16
+
+
+def ordered_matmul_accumulate(a, b):
+    """Ascending-k matmul fold by chunked ``np.add.accumulate``, first
+    product as is (signed zeros included): the byte-level reference for
+    ``tensor._ordered_matmul``, whichever way that vectorises the fold."""
+    m, k = a.shape
+    n = b.shape[1]
+    step = max(1, MATMUL_BLOCK_ELEMS // (m * n))
+    out = None
+    for lo in range(0, k, step):
+        prod = a[:, lo : lo + step, None] * b[None, lo : lo + step, :]
+        if out is not None:
+            prod[:, 0] += out
+        out = np.add.accumulate(prod, axis=1)[:, -1]
+    return out

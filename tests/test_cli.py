@@ -143,6 +143,31 @@ class TestCommands:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("flag,dest", [
+        ("--out", "missing/m.slm"),
+        ("--out", "a_file/m.slm"),
+        ("--out", "adir"),
+        ("--history", "missing/h.csv"),
+        ("--history", "adir"),
+    ])
+    def test_train_destinations_checked_before_data_is_read(
+        self, tmp_path, monkeypatch, capsys, flag, dest
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("load_dataset called before the destinations were checked")
+
+        monkeypatch.setattr(data, "load_dataset", fail)
+        (tmp_path / "a_file").write_text("")
+        (tmp_path / "adir").mkdir()
+        paths = {"--out": str(tmp_path / "m.slm"), "--history": str(tmp_path / "h.csv")}
+        paths[flag] = str(tmp_path / dest)
+        rc = cli.main(["train", "--data", str(tmp_path), "--arch", "cnn_td",
+                       "--out", paths["--out"], "--history", paths["--history"]])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_evaluate_writes_report_and_matrix(self, trained, tiny_corpus, tmp_path, capsys):
         report = tmp_path / "report.txt"
         matrix = tmp_path / "matrix.csv"

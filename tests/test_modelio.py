@@ -66,6 +66,53 @@ class TestSave:
         with pytest.raises(modelio.IncompleteParamsError):
             modelio.save_model(spec, params, cfg, ["only_one"], str(tmp_path / "x.slm"))
 
+    @pytest.mark.parametrize("fail_at", ["write", "replace"])
+    def test_failed_save_keeps_the_previous_file(self, saved, tmp_path, monkeypatch, fail_at):
+        path, spec, params, cfg = saved
+        target = tmp_path / "model.slm"
+        old = open(path, "rb").read()
+        target.write_bytes(old)
+        other = models.init_model(spec, Rng(14))
+        real_open, writes = open, []
+
+        class FailingFile:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, chunk):
+                if len(writes) == 2:  # magic and header length are down
+                    raise OSError("disk full")
+                writes.append(chunk)
+                return self.fh.write(chunk)
+
+        def failing_replace(src, dst):
+            raise OSError("rename refused")
+
+        if fail_at == "write":
+            monkeypatch.setattr(modelio, "open",
+                                lambda *a, **kw: FailingFile(real_open(*a, **kw)),
+                                raising=False)
+        else:
+            monkeypatch.setattr(modelio.os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            modelio.save_model(spec, other, cfg, CLASSES, str(target))
+        assert target.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.slm"]
+
+    def test_save_replaces_an_existing_file(self, saved, tmp_path):
+        path, spec, params, cfg = saved
+        target = tmp_path / "model.slm"
+        target.write_bytes(b"an older model")
+        modelio.save_model(spec, params, cfg, CLASSES, str(target))
+        assert target.read_bytes() == open(path, "rb").read()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.slm"]
+
     def test_seeded_cnn3d_file_golden_digest(self, tmp_path):
         # Digest of the file written before Rng.uniforms was vectorised: the
         # seeded initial weights and the SLM1 bytes must not change.

@@ -1,5 +1,6 @@
 import hashlib
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,78 @@ class TestMatmul:
         x = np.arange(6, dtype=np.float32).reshape(2, 3)
         out = tn.reduce_mean(t32(x), axis=0)
         assert np.allclose(out.data, x.mean(axis=0))
+
+
+def _signed_zero_operand(rng, shape, dtype):
+    """Mostly ±0.0 and ±tiny, so products underflow to signed zeros."""
+    tiny = np.finfo(dtype).tiny
+    pick = np.array([0.0, -0.0, tiny, -tiny, 1.0, -0.5], dtype=dtype)
+    return pick[rng.choice(len(pick), size=shape, p=[0.25, 0.25, 0.2, 0.2, 0.05, 0.05])]
+
+
+class TestOrderedMatmulOracle:
+    """The fold kernel against the chunked-accumulate reference, byte for byte."""
+
+    # (M, K, N, operand layout, which way the fold is vectorised)
+    CASES = {
+        "along_k": (3, 40, 2, "", "k"),
+        "switch_at_4k": (2, 4, 8, "", "k"),
+        "switch_past_4k": (2, 4, 9, "", "output"),
+        "k1_scalar": (1, 1, 1, "", "k"),
+        "k1_switch_at_4k": (1, 1, 4, "", "k"),
+        "k1_wide": (64, 1, 32, "", "output"),
+        "k1_transposed_a": (300, 1, 16, "a.T", "output"),
+        "along_k_past_chunk": (1, 1025, 64, "", "k"),
+        "output_past_chunk": (1, 33, 2048, "", "output"),
+        "output_two_chunks_and_one": (1, 65, 2048, "", "output"),
+        "transposed_b": (1, 32, 300, "b.T", "output"),
+        "transposed_b_chunks": (1, 40, 4096, "b.T", "output"),
+    }
+
+    @pytest.mark.parametrize("values", ["uniform", "signed_zero"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bytes_match_accumulate_fold(self, case, dtype, values):
+        m, k, n, layout, fold = self.CASES[case]
+        assert (m * n > 4 * k) == (fold == "output")
+        rng = np.random.default_rng([list(self.CASES).index(case), values == "uniform"])
+        if values == "uniform":
+            a = rng.uniform(-1, 1, (m, k)).astype(dtype)
+            b = rng.uniform(-1, 1, (k, n)).astype(dtype)
+        else:
+            a = _signed_zero_operand(rng, (m, k), dtype)
+            b = _signed_zero_operand(rng, (k, n), dtype)
+        # Backward passes a transposed view, as matmul's ga and gb do.
+        if layout == "a.T":
+            a = np.ascontiguousarray(a.T).T
+        if layout == "b.T":
+            b = np.ascontiguousarray(b.T).T
+        want = oracles.ordered_matmul_accumulate(a, b)
+        got = tn._ordered_matmul(a, b)
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == want.shape == (m, n)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 2, 33])
+    def test_negative_zero_survives_both_folds(self, dtype, k):
+        tiny = np.finfo(dtype).tiny
+        a = np.full((1, k), -tiny, dtype=dtype)
+        for n in (1, 4 * k + 1):  # one output along k, then a wide one
+            b = np.full((k, n), tiny, dtype=dtype)
+            got = tn._ordered_matmul(a, b)
+            assert not got.any() and np.signbit(got).all()
+            assert got.tobytes() == oracles.ordered_matmul_accumulate(a, b).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 9])  # along k, then over the output
+    def test_opposite_overflows_raise_without_numpy_warnings(self, n):
+        # +inf and -inf products sum to NaN: NonFiniteError is the only signal.
+        a = t32([[1e30, 1e30]])
+        b = t32(np.tile([[1e30], [-1e30]], (1, n)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                tn.matmul(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +250,15 @@ class TestFit:
         assert found, str(exc.value)
         assert 1 <= int(found[1]) <= 3
         assert found[2] in {s.clip_id for s in small_manifest.train}
+
+    def test_divergence_raises_without_numpy_warnings(self, small_manifest):
+        # NonFiniteError is the only signal: no numpy overflow warning
+        # escapes from the kernels on the way to it.
+        spec = models.build("cnn3d", (6, 16, 16, 1), 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(tn.NonFiniteError):
+                train.fit(spec, small_manifest, _small_cfg(learning_rate=1e6))
 
     def test_empty_training_set_rejected(self, small_manifest):
         spec = models.build("cnn_td", (6, 16, 16, 1), 2)
