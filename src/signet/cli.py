@@ -42,7 +42,6 @@ class GradeResult:
     predicted_label: str
     grade: int
     band: str
-    second_choice: tuple[str, int]
 
 
 def band_for_grade(grade: int) -> str:
@@ -62,16 +61,9 @@ def _ranked(probs: np.ndarray) -> list[int]:
 def grade_from_probabilities(probs, class_names: list[str]) -> GradeResult:
     """Grade = trunc(max probability * 100); bands at >= 70 and >= 50."""
     p = np.asarray(probs, dtype=np.float64)
-    order = _ranked(p)
-    top = order[0]
-    second = order[1] if len(order) > 1 else order[0]
+    top = _ranked(p)[0]
     grade = int(p[top] * 100.0)
-    return GradeResult(
-        predicted_label=class_names[top],
-        grade=grade,
-        band=band_for_grade(grade),
-        second_choice=(class_names[second], int(p[second] * 100.0)),
-    )
+    return GradeResult(class_names[top], grade, band_for_grade(grade))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +118,7 @@ def _check_destination(flag: str, path: str) -> None:
 def cmd_train(args) -> int:
     cfg = train.TrainingConfig(
         max_epochs=args.epochs,
-        min_epochs=min(15, args.epochs),
+        min_epochs=min(train.TrainingConfig.min_epochs, args.epochs),
         batch_size=args.batch_size,
         learning_rate=args.lr,
         patience=args.patience,
@@ -138,16 +130,7 @@ def cmd_train(args) -> int:
         _check_destination("--history", args.history)
     size_cfg = data.PreprocessConfig()
     manifest = data.load_dataset(args.data, size_cfg, seed=args.seed)
-    spec = models.build(
-        args.arch,
-        input_shape=(
-            size_cfg.sequence_length,
-            size_cfg.target_height,
-            size_cfg.target_width,
-            size_cfg.channels,
-        ),
-        num_classes=len(manifest.class_names),
-    )
+    spec = models.build(args.arch, size_cfg.clip_shape, len(manifest.class_names))
     params, history = train.fit(spec, manifest, cfg)
     modelio.save_model(spec, params, size_cfg, manifest.class_names, args.out)
     if args.history:
@@ -235,12 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--arch", required=True, choices=models.ARCHITECTURES)
     p.add_argument("--out", required=True)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--val-split", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    defaults = train.TrainingConfig()
+    p.add_argument("--epochs", type=int, default=defaults.max_epochs)
+    p.add_argument("--batch-size", type=int, default=defaults.batch_size)
+    p.add_argument("--lr", type=float, default=defaults.learning_rate)
+    p.add_argument("--patience", type=int, default=defaults.patience)
+    p.add_argument("--val-split", type=float, default=defaults.validation_split)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--history", default=None, help="write per-epoch metrics CSV here")
     p.set_defaults(func=cmd_train)
 

@@ -10,14 +10,17 @@ lexicographic order, so write order on disk never matters.
 
 Preprocessing maps every frame to float32 values in [0, 1]: optional luma
 conversion, bilinear resize with half-pixel centers, division by 255.
-Clips are normalized to a fixed frame count (default 35): longer clips
-are uniformly subsampled, shorter ones repeat their final frame.
+Clips are normalized to the config's ``sequence_length`` frames: longer
+clips are uniformly subsampled, shorter ones repeat their final frame.
+
+``load_dataset`` puts the first ``_TRAIN_SHARE`` (0.8) of each class's
+seeded-shuffled clips in the train split and the rest in the eval split.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,17 +63,13 @@ class PreprocessConfig:
         if self.sequence_length < 1:
             raise DatasetError("sequence_length must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "target_height": self.target_height,
-            "target_width": self.target_width,
-            "channels": self.channels,
-            "sequence_length": self.sequence_length,
-        }
+    @property
+    def clip_shape(self) -> tuple[int, int, int, int]:
+        """The (T, H, W, C) shape of the clips this config produces."""
+        return (self.sequence_length, self.target_height, self.target_width, self.channels)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PreprocessConfig":
-        return cls(**d)
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 @dataclass
@@ -202,14 +201,13 @@ def preprocess_frame(image: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
     return (resized / 255.0).astype(np.float32)
 
 
-def normalize_sequence(frames, length: int = 35) -> np.ndarray:
+def normalize_sequence(frames, length: int) -> np.ndarray:
     """Force a clip to exactly ``length`` frames.
 
+    ``frames`` is a list of (H, W, C) frames or one (T, H, W, C) array.
     Longer clips are subsampled at indices floor(k*T/L); shorter clips
     repeat the final frame. Applying this twice equals applying it once.
     """
-    if isinstance(frames, np.ndarray):
-        frames = list(frames)
     t = len(frames)
     if t == 0:
         raise DatasetError("empty clip")
@@ -227,6 +225,7 @@ def normalize_sequence(frames, length: int = 35) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _FRAME_SUFFIXES = (".pgm", ".ppm")
+_TRAIN_SHARE = 0.8
 
 
 def load_clip(clip_dir: str, cfg: PreprocessConfig) -> np.ndarray:
@@ -254,23 +253,14 @@ def load_clip(clip_dir: str, cfg: PreprocessConfig) -> np.ndarray:
     return normalize_sequence(frames, cfg.sequence_length)
 
 
-def load_dataset(
-    root_dir: str,
-    cfg: PreprocessConfig | None = None,
-    split_ratio: float = 0.8,
-    seed: int = 0,
-) -> DatasetManifest:
+def load_dataset(root_dir: str, cfg: PreprocessConfig, seed: int = 0) -> DatasetManifest:
     """Load ``root/<label>/<clip_id>/frames`` into a stratified split.
 
     Per class, clip order is shuffled by a seeded stream and the first
-    floor(split_ratio * n) clips go to train. Class names are the label
+    floor(_TRAIN_SHARE * n) clips go to train. Class names are the label
     folder names, sorted; results are deterministic for fixed (contents,
     seed).
     """
-    if cfg is None:
-        cfg = PreprocessConfig()
-    if not 0.0 < split_ratio < 1.0:
-        raise DatasetError(f"split_ratio must lie in (0, 1), got {split_ratio}")
     try:
         class_names = sorted(
             n for n in os.listdir(root_dir) if os.path.isdir(os.path.join(root_dir, n))
@@ -289,7 +279,7 @@ def load_dataset(
         if not clip_ids:
             raise DatasetError(f"class folder {class_dir} has no clips")
         rng.shuffle(clip_ids)
-        n_train = int(split_ratio * len(clip_ids))
+        n_train = int(_TRAIN_SHARE * len(clip_ids))
         for pos, clip_id in enumerate(clip_ids):
             frames = load_clip(os.path.join(class_dir, clip_id), cfg)
             sample = ClipSample(frames, label_index, f"{label}/{clip_id}")

@@ -183,8 +183,7 @@ def _header(
     places each plan's float32 blob at the first multiple of 8 bytes after
     the previous blob.
     """
-    fitted = [preprocess.sequence_length, preprocess.target_height,
-              preprocess.target_width, preprocess.channels]
+    fitted = list(preprocess.clip_shape)
     if fitted != list(spec.input_shape) or not _is_int_list(fitted):
         raise IncompatibleModelError(
             f"preprocess config {preprocess.to_dict()} does not fit input shape {spec.input_shape}"
@@ -311,7 +310,7 @@ def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, 
             header["num_classes"],
             feature_extractor_trainable=header["feature_extractor_trainable"],
         )
-        preprocess = PreprocessConfig.from_dict(header.get("preprocess"))
+        preprocess = PreprocessConfig(**header.get("preprocess"))
         expected, plans = _header(spec, preprocess, class_names)
     except (TypeError, ValueError, OverflowError) as exc:
         raise IncompatibleModelError(f"{path}: header rejected by the builders: {exc}") from exc

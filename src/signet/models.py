@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
+from .data import PreprocessConfig
 from .nn import LayerConfig, ParameterStore
 from .tensor import Rng, ShapeError, Tensor
 
@@ -34,18 +35,26 @@ __all__ = [
     "predict_probs",
 ]
 
-DEFAULT_INPUT_SHAPE = (35, 64, 64, 1)
+DEFAULT_INPUT_SHAPE = PreprocessConfig().clip_shape
 
 
 @dataclass
 class ModelSpec:
-    """One architecture instantiated for a fixed input shape and class count."""
+    """One architecture instantiated for a fixed input shape and class count.
+
+    ``feature_extractor_trainable`` is derived from the layers: it is False
+    exactly when some top-level layer is frozen, which only a frozen
+    cnn_rnn_lstm extractor is.
+    """
 
     architecture: str
     input_shape: tuple
     num_classes: int
     layers: list[LayerConfig] = field(default_factory=list)
-    feature_extractor_trainable: bool = True
+
+    @property
+    def feature_extractor_trainable(self) -> bool:
+        return all(cfg.trainable for cfg in self.layers)
 
 
 def _validate_input(input_shape, num_classes, min_t, min_hw, arch):
@@ -154,14 +163,7 @@ def build_cnn_rnn_lstm(
         LayerConfig("dense", units=num_classes),
         LayerConfig("softmax"),
     ]
-    spec = ModelSpec(
-        "cnn_rnn_lstm",
-        tuple(input_shape),
-        num_classes,
-        layers,
-        feature_extractor_trainable=feature_extractor_trainable,
-    )
-    return _finish(spec)
+    return _finish(ModelSpec("cnn_rnn_lstm", tuple(input_shape), num_classes, layers))
 
 
 def build_cnn_td(input_shape=DEFAULT_INPUT_SHAPE, num_classes: int = 10) -> ModelSpec:
@@ -212,9 +214,9 @@ def param_count(spec: ModelSpec, trainable_only: bool = False) -> int:
     )
 
 
-def init_model(spec: ModelSpec, rng: Rng, dtype=np.float32) -> ParameterStore:
-    """Fresh parameters for a spec; bit-identical for a given rng state."""
-    return nn.init_params(spec.layers, spec.input_shape, rng, dtype=dtype)
+def init_model(spec: ModelSpec, rng: Rng) -> ParameterStore:
+    """Fresh float32 parameters for a spec; bit-identical for a given rng state."""
+    return nn.init_params(spec.layers, spec.input_shape, rng)
 
 
 def forward(spec: ModelSpec, params: ParameterStore, clip: Tensor) -> Tensor:

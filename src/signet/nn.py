@@ -148,7 +148,7 @@ def dense(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     if x.shape[-1] != k_in:
         raise ShapeError(f"dense: trailing extent {x.shape[-1]} != kernel rows {k_in}")
     lead = x.shape[:-1]
-    flat = tn.reshape(x, (int(np.prod(lead, dtype=np.int64)) if lead else 1, k_in))
+    flat = tn.reshape(x, (int(np.prod(lead, dtype=np.int64)), k_in))
     out = tn.add(tn.matmul(flat, kernel), tn.reshape(bias, (1, k_out)))
     return tn.reshape(out, lead + (k_out,))
 
@@ -451,14 +451,8 @@ def trace_layers(
     return shape, plans
 
 
-def init_params(
-    layers: list[LayerConfig],
-    input_shape: tuple,
-    rng: Rng,
-    dtype=np.float32,
-    prefix: str = "layer",
-) -> ParameterStore:
-    """Create a ParameterStore for a layer chain.
+def init_params(layers: list[LayerConfig], input_shape: tuple, rng: Rng) -> ParameterStore:
+    """Create a float32 ParameterStore for a layer chain, named ``layer{i}_{kind}/...``.
 
     Kernels are Glorot-uniform with limit sqrt(6 / (fan_in + fan_out)),
     where fan_in and fan_out are the receptive field (the product of all
@@ -467,7 +461,7 @@ def init_params(
     biases, which starts at 1. Draws consume the rng stream in plan order,
     so a given seed always produces the same store.
     """
-    _, plans = trace_layers(layers, input_shape, prefix=prefix)
+    _, plans = trace_layers(layers, input_shape)
     store = ParameterStore()
     for plan in plans:
         if plan.init == "glorot":
@@ -475,9 +469,9 @@ def init_params(
             rf = int(np.prod(window, dtype=np.int64))
             limit = math.sqrt(6.0 / (rf * cin + rf * cout))
             values = (rng.uniforms(rf * cin * cout) * 2.0 - 1.0) * limit
-            data = values.astype(dtype).reshape(plan.shape)
+            data = values.astype(np.float32).reshape(plan.shape)
         else:
-            data = np.zeros(plan.shape, dtype=dtype)
+            data = np.zeros(plan.shape, dtype=np.float32)
             if plan.init == "gate_bias":
                 units = plan.shape[0] // 4
                 data[units : 2 * units] = 1.0  # forget gate opens fully at step 0

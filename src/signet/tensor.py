@@ -109,8 +109,8 @@ class Rng:
             z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
             s.append(z ^ (z >> 31))
-        if not any(s):
-            s[0] = 1  # all-zero state is the one forbidden xoshiro state
+        # The finalizer is a bijection and the four states differ, so at most
+        # one word is 0: never the all-zero state xoshiro forbids.
         self._s = s
 
     def next_u64(self) -> int:
@@ -312,7 +312,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._produced: set[int] = set()
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -327,7 +326,7 @@ class Tape:
         """Populate ``grad`` on every tensor the scalar loss depends on."""
         if loss.numel != 1:
             raise TapeError(f"loss must be scalar, got shape {loss.shape}")
-        if id(loss) not in self._produced:
+        if not any(node.out is loss for node in reversed(self.nodes)):
             raise TapeError("loss was not produced under this tape")
         if self._spent:
             raise TapeError("backward already ran on this tape; record a new one")
@@ -358,7 +357,6 @@ def _result(data: np.ndarray, inputs: tuple, bw, op: str) -> Tensor:
     tape = _TAPE.get()
     if tape is not None and requires:
         tape.nodes.append(_Node(inputs, out, bw))
-        tape._produced.add(id(out))
     return out
 
 

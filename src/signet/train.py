@@ -117,29 +117,27 @@ def _check_one_hot(truth: np.ndarray, shape: tuple) -> None:
         raise TrainingError("truth rows must be one-hot")
 
 
-def one_hot(labels, num_classes: int, dtype=np.float32) -> np.ndarray:
+def one_hot(labels, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise TrainingError(f"label outside [0, {num_classes})")
-    return np.eye(num_classes, dtype=dtype)[labels]
+    return np.eye(num_classes, dtype=np.float32)[labels]
 
 
-def categorical_crossentropy(pred: Tensor, truth: np.ndarray | Tensor) -> Tensor:
+def categorical_crossentropy(pred: Tensor, truth: np.ndarray) -> Tensor:
     """Mean over the batch of -sum(y * ln(clamp(p, 1e-7, 1 - 1e-7)))."""
-    truth_arr = truth.data if isinstance(truth, Tensor) else np.asarray(truth)
+    truth = np.asarray(truth)
     if pred.data.ndim != 2:
         raise ShapeError(f"predictions must be (B, C), got {pred.shape}")
-    _check_one_hot(truth_arr, pred.shape)
-    truth_t = truth if isinstance(truth, Tensor) else Tensor(truth_arr.astype(pred.data.dtype))
+    _check_one_hot(truth, pred.shape)
     clamped = tn.clip(pred, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    picked = tn.reduce_sum(tn.mul(tn.log(clamped), truth_t), axis=1)
+    picked = tn.reduce_sum(tn.mul(tn.log(clamped), Tensor(truth.astype(pred.data.dtype))), axis=1)
     return tn.neg(tn.reduce_mean(picked))
 
 
-def accuracy(pred, truth) -> float:
+def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     """Fraction of rows whose argmax matches; ties break to the lowest index."""
-    p = pred.data if isinstance(pred, Tensor) else np.asarray(pred)
-    y = truth.data if isinstance(truth, Tensor) else np.asarray(truth)
+    p, y = np.asarray(pred), np.asarray(truth)
     if p.ndim != 2 or p.shape != y.shape:
         raise ShapeError(f"accuracy needs matching (B, C) arrays, got {p.shape} vs {y.shape}")
     if p.shape[0] == 0:

@@ -43,15 +43,9 @@ class TestGrading:
         assert result.band == band
         assert result.predicted_label == "a"
 
-    def test_second_choice(self):
-        result = grade_from_probabilities([0.1, 0.65, 0.25], ["x", "y", "z"])
-        assert result.predicted_label == "y"
-        assert result.second_choice == ("z", 25)
-
     def test_tie_breaks_to_lower_class_index(self):
         result = grade_from_probabilities([0.4, 0.4, 0.2], ["a", "b", "c"])
         assert result.predicted_label == "a"
-        assert result.second_choice[0] == "b"
 
 
 @pytest.fixture(scope="module")

@@ -84,6 +84,11 @@ class TestPreprocessFrame:
         assert out.min() >= 0.0 and out.max() <= 1.0
 
 
+class TestPreprocessConfig:
+    def test_clip_shape_is_frames_height_width_channels(self):
+        assert PreprocessConfig(16, 12, 3, 6).clip_shape == (6, 16, 12, 3)
+
+
 class TestNormalizeSequence:
     def _frames(self, t):
         return [np.full((2, 2, 1), i, dtype=np.float32) for i in range(t)]

@@ -54,6 +54,12 @@ class TestBuilders:
         with pytest.raises(ShapeError):
             models.build_cnn_td((4, 2, 2, 1), 4)
 
+    @pytest.mark.parametrize("arch", models.ARCHITECTURES)
+    @pytest.mark.parametrize("trainable", [False, True])
+    def test_feature_extractor_trainable_follows_the_layers(self, arch, trainable):
+        spec = models.build(arch, SMALL, 3, feature_extractor_trainable=trainable)
+        assert spec.feature_extractor_trainable == (arch != "cnn_rnn_lstm" or trainable)
+
     def test_color_input_supported(self):
         spec, params, probs = _probs("cnn_td", shape=(4, 16, 16, 3))
         assert probs.shape == (4,)
