@@ -44,7 +44,8 @@ class ModelSpec:
 
     ``feature_extractor_trainable`` is derived from the layers: it is False
     exactly when some top-level layer is frozen, which only a frozen
-    cnn_rnn_lstm extractor is.
+    cnn_rnn_lstm extractor is. The other three architectures have no
+    separable extractor, so it is always True for them.
     """
 
     architecture: str
@@ -194,7 +195,13 @@ def build(
     num_classes: int = 10,
     feature_extractor_trainable: bool = False,
 ) -> ModelSpec:
-    """Build any architecture by its identifier string."""
+    """Build any architecture by its identifier string.
+
+    ``feature_extractor_trainable`` concerns cnn_rnn_lstm only, whose
+    time-distributed extractor it freezes when False. cnn_lstm, cnn3d and
+    cnn_td have no separable extractor and are always fully trainable,
+    whatever the flag says.
+    """
     if architecture not in _BUILDERS:
         raise ShapeError(
             f"unknown architecture {architecture!r}; pick one of {', '.join(ARCHITECTURES)}"

@@ -6,6 +6,14 @@ Every kernel validates shapes up front and raises ``NonFiniteError`` if an
 output contains NaN/Inf, so bad values never propagate silently into
 training.
 
+Float errors have one rule: ``NonFiniteError`` is the only signal. numpy's
+float warnings are off inside every op, ``Tape.backward`` and the update of
+``train.adam_step``, through ``np.errstate`` blocks, never process-wide.
+``_result`` is the one place a non-finite op output is reported, naming the
+op. A gradient may overflow in backward without a report; ``adam_step``'s
+check on the updated parameters is the one place that is reported, naming
+the parameter.
+
 Reproducibility rules, fixed for every kernel:
 
 * ``matmul`` and the reduce ops accumulate strictly in ascending index
@@ -332,16 +340,17 @@ class Tape:
             raise TapeError("backward already ran on this tape; record a new one")
         self._spent = True
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self.nodes):
-            gout = node.out.grad
-            if gout is None:
-                continue
-            grads = node.bw(gout)
-            for t, g in zip(node.inputs, grads):
-                if g is None:
+        with np.errstate(all="ignore"):
+            for node in reversed(self.nodes):
+                gout = node.out.grad
+                if gout is None:
                     continue
-                g = np.asarray(g, dtype=t.data.dtype).reshape(t.data.shape)
-                t.grad = g if t.grad is None else t.grad + g
+                grads = node.bw(gout)
+                for t, g in zip(node.inputs, grads):
+                    if g is None:
+                        continue
+                    g = np.asarray(g, dtype=t.data.dtype).reshape(t.data.shape)
+                    t.grad = g if t.grad is None else t.grad + g
 
 
 def record() -> Tape:
@@ -393,53 +402,36 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def _broadcast(op: str, fn, a: Tensor, b: Tensor, grad_a, grad_b) -> Tensor:
+    """``fn(a, b)`` under numpy broadcasting. Backward sums ``grad_a(g)`` and
+    ``grad_b(g)``, each side's gradient at the output's shape, down to that
+    side's shape."""
     _same_dtype(a, b)
     try:
-        out = a.data + b.data
+        with np.errstate(all="ignore"):
+            out = fn(a.data, b.data)
     except ValueError as exc:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}") from exc
+        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from exc
     ash, bsh = a.shape, b.shape
 
     def bw(g):
-        ga = _unbroadcast(g, ash) if a.requires_grad else None
-        gb = _unbroadcast(g, bsh) if b.requires_grad else None
+        ga = _unbroadcast(grad_a(g), ash) if a.requires_grad else None
+        gb = _unbroadcast(grad_b(g), bsh) if b.requires_grad else None
         return ga, gb
 
-    return _result(out, (a, b), bw, "add")
+    return _result(out, (a, b), bw, op)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return _broadcast("add", np.add, a, b, lambda g: g, lambda g: g)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_dtype(a, b)
-    try:
-        out = a.data - b.data
-    except ValueError as exc:
-        raise ShapeError(f"sub: incompatible shapes {a.shape} and {b.shape}") from exc
-    ash, bsh = a.shape, b.shape
-
-    def bw(g):
-        ga = _unbroadcast(g, ash) if a.requires_grad else None
-        gb = -_unbroadcast(g, bsh) if b.requires_grad else None
-        return ga, gb
-
-    return _result(out, (a, b), bw, "sub")
+    return _broadcast("sub", np.subtract, a, b, lambda g: g, np.negative)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_dtype(a, b)
-    try:
-        with np.errstate(over="ignore"):
-            out = a.data * b.data
-    except ValueError as exc:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}") from exc
-    ad, bd = a.data, b.data
-
-    def bw(g):
-        ga = _unbroadcast(g * bd, ad.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * ad, bd.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _result(out, (a, b), bw, "mul")
+    return _broadcast("mul", np.multiply, a, b, lambda g: g * b.data, lambda g: g * a.data)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -449,7 +441,8 @@ def neg(a: Tensor) -> Tensor:
 def scale(a: Tensor, s: float) -> Tensor:
     """Multiply by a python scalar constant."""
     s = float(s)
-    out = (a.data * np.asarray(s, dtype=a.data.dtype))
+    with np.errstate(all="ignore"):
+        out = a.data * np.asarray(s, dtype=a.data.dtype)
 
     def bw(g):
         return (g * np.asarray(s, dtype=g.dtype),)
@@ -604,7 +597,8 @@ def _ordered_sum(x: np.ndarray, axis, keepdims: bool = False) -> np.ndarray:
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
     if axis is not None:
         axis = _axis("reduce_sum", axis, a.data.ndim)
-    out = _ordered_sum(a.data, axis)
+    with np.errstate(all="ignore"):
+        out = _ordered_sum(a.data, axis)
     ash = a.shape
 
     def bw(g):
@@ -619,8 +613,8 @@ def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
     if axis is not None:
         axis = _axis("reduce_mean", axis, a.data.ndim)
     n = a.numel if axis is None else a.shape[axis]
-    summed = _ordered_sum(a.data, axis)
-    out = summed / np.asarray(n, dtype=a.data.dtype)
+    with np.errstate(all="ignore"):
+        out = _ordered_sum(a.data, axis) / np.asarray(n, dtype=a.data.dtype)
     ash = a.shape
 
     def bw(g):
@@ -815,7 +809,8 @@ def _conv_nd(x: Tensor, kernel: Tensor, bias, padding, stride, ndim: int, op: st
     strides = _norm_stride(stride, ndim)
     pads, outs = _conv_geometry(x.shape[:ndim], kernel.shape[:ndim], strides, padding)
     bdata = bias.data if bias is not None else None
-    out, xp_shape, cols = _conv_forward(x.data, kernel.data, bdata, pads, strides, outs)
+    with np.errstate(all="ignore"):
+        out, xp_shape, cols = _conv_forward(x.data, kernel.data, bdata, pads, strides, outs)
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
     cin, kd = x.shape[-1], kernel.data
 

@@ -149,7 +149,9 @@ def adam_step(params: ParameterStore, state: AdamState, lr: float) -> None:
     """One Adam update over the trainable parameters, in place.
 
     Frozen parameters are skipped even when they carry gradients. Raises
-    if a trainable parameter has no gradient.
+    ``TrainingError`` if a trainable parameter has no gradient, and
+    ``NonFiniteError`` naming the parameter if its update is non-finite, as
+    after a gradient that overflowed in backward.
     """
     state.t += 1
     b1, b2, eps = AdamState.BETA1, AdamState.BETA2, AdamState.EPS
@@ -167,12 +169,13 @@ def adam_step(params: ParameterStore, state: AdamState, lr: float) -> None:
             state.m[name] = m
             state.v[name] = np.zeros_like(p.data)
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        update = (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
-        p.data -= update.astype(p.data.dtype)
+        with np.errstate(all="ignore"):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            update = (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
+            p.data -= update.astype(p.data.dtype)
         if not np.isfinite(p.data).all():
             raise tn.NonFiniteError(f"parameter {name!r} diverged to non-finite values")
 

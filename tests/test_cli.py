@@ -60,6 +60,14 @@ def trained(tmp_path_factory, tiny_corpus):
     return str(out)
 
 
+def _python_m_signet(*argv):
+    """``python -m signet`` in a subprocess, outside pytest's warning filters."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-m", "signet", *argv],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+
+
 def _a_clip_dir(corpus):
     cls = sorted(os.listdir(corpus))[0]
     clip = sorted(os.listdir(os.path.join(corpus, cls)))[0]
@@ -90,17 +98,27 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error:")
 
     def test_python_m_signet_runs_the_cli(self, tmp_path):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        proc = subprocess.run(
-            [sys.executable, "-m", "signet", "synth", "--out", str(tmp_path / "c"),
-             "--classes", "2", "--clips-per-class", "1", "--frames", "2",
-             "--size", "8x8"],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-            timeout=120,
-        )
+        proc = _python_m_signet("synth", "--out", str(tmp_path / "c"), "--classes", "2",
+                                "--clips-per-class", "1", "--frames", "2", "--size", "8x8")
         assert proc.returncode == 0
         assert proc.stdout == "2 clips\n"
         assert proc.stderr == ""
+
+    def test_grade_of_an_overflowing_model_prints_one_error_line(self, tmp_path):
+        # Finite weights whose conv outputs overflow float32.
+        spec = models.build("cnn_td", (2, 8, 8, 1), 2)
+        params = models.init_model(spec, Rng(0))
+        params["layer0_time_distributed/td0_conv2d/bias"].data[:] = 3e38
+        model = str(tmp_path / "model.slm")
+        modelio.save_model(spec, params, PreprocessConfig(8, 8, 1, 2), ["a", "b"], model)
+        clip = tmp_path / "clip"
+        clip.mkdir()
+        frame = data.encode_pgm(np.arange(64, dtype=np.uint8).reshape(8, 8))
+        for i in range(2):
+            (clip / f"frame_{i:03d}.pgm").write_bytes(frame)
+        proc = _python_m_signet("grade", "--model", model, "--clip", str(clip))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
     def test_train_writes_model_and_history(self, tmp_path, tiny_corpus, capsys):
         out = tmp_path / "m.slm"

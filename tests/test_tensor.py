@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import threading
 import warnings
 
@@ -102,6 +103,30 @@ class TestRng:
 # ---------------------------------------------------------------------------
 
 
+_HUGE = 3e38  # finite in float32; twice it is not
+
+# One call per op whose float32 result is non-finite for finite operands.
+_OVERFLOW_CASES = {
+    "add": lambda: tn.add(t32([_HUGE]), t32([_HUGE])),
+    "sub": lambda: tn.sub(t32([_HUGE]), t32([-_HUGE])),
+    "mul": lambda: tn.mul(t32([_HUGE]), t32([_HUGE])),
+    "scale": lambda: tn.scale(t32([_HUGE]), 2.0),
+    "reduce_sum": lambda: tn.reduce_sum(t32([_HUGE, _HUGE])),
+    "reduce_mean": lambda: tn.reduce_mean(t32([_HUGE, _HUGE])),
+    "matmul": lambda: tn.matmul(t32([[_HUGE, _HUGE]]), t32([[1.0], [1.0]])),
+    "conv2d": lambda: tn.conv2d(t32(np.full((1, 2, 1), _HUGE)), t32(np.ones((1, 2, 1, 1)))),
+    "conv3d": lambda: tn.conv3d(t32(np.full((1, 1, 2, 1), _HUGE)),
+                                t32(np.ones((1, 1, 2, 1, 1)))),
+    "log": lambda: tn.log(t32([0.0])),
+}
+
+# Ops that cannot turn finite operands into a non-finite result.
+_FINITE_FROM_FINITE = {
+    "neg", "clip", "relu", "sigmoid", "tanh", "softmax",
+    "reshape", "narrow", "stack", "maxpool2d", "maxpool3d",
+}
+
+
 class TestTensorBasics:
     def test_zero_extent_rejected(self):
         with pytest.raises(ShapeError):
@@ -111,10 +136,18 @@ class TestTensorBasics:
         with pytest.raises(NonFiniteError):
             Tensor(np.array([1.0, np.nan], dtype=np.float32))
 
-    def test_non_finite_kernel_output_raises(self):
-        big = t32([1e38, 1e38])
-        with pytest.raises(NonFiniteError):
-            tn.mul(big, big)
+    @pytest.mark.parametrize("op", sorted(_OVERFLOW_CASES))
+    def test_non_finite_kernel_output_raises(self, op):
+        # NonFiniteError naming the op is the only signal: no numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=f"^{op} produced non-finite values"):
+                _OVERFLOW_CASES[op]()
+
+    def test_overflow_cases_cover_every_op(self):
+        ops = {name for name in tn.__all__ if inspect.isfunction(getattr(tn, name))}
+        assert not set(_OVERFLOW_CASES) & _FINITE_FROM_FINITE
+        assert set(_OVERFLOW_CASES) | _FINITE_FROM_FINITE == ops - {"record", "grad_check"}
 
     def test_log_of_negative_raises(self):
         with pytest.raises(NonFiniteError):

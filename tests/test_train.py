@@ -117,6 +117,22 @@ class TestAdam:
         with pytest.raises(TrainingError):
             train.adam_step(store, AdamState(), lr=0.001)
 
+    def test_gradient_overflow_is_reported_by_adam_naming_the_parameter(self):
+        # The forward, (x * w)^2 = 9e36, is finite; d/dx = 2 * x * w * w is
+        # not. Backward leaves inf quietly, and adam_step raises.
+        store = ParameterStore()
+        store.add("x", t32([1e-20]))
+        w = t32([3e38])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with tn.record() as tape:
+                y = tn.mul(store["x"], w)
+                loss = tn.reduce_sum(tn.mul(y, y))
+            tape.backward(loss)
+            assert np.array_equal(store["x"].grad, np.array([np.inf], dtype=np.float32))
+            with pytest.raises(tn.NonFiniteError, match="'x'"):
+                train.adam_step(store, AdamState(), lr=0.001)
+
 
 class TestEarlyStopping:
     def test_stops_after_patience_without_improvement(self):
