@@ -104,15 +104,28 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _check_destination(flag: str, path: str) -> None:
-    """Raise OSError unless ``path`` can be created or replaced as a file."""
-    parent = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(parent):
-        raise OSError(f"{flag} {path}: {parent} is not an existing directory")
-    if not os.access(parent, os.W_OK | os.X_OK):
-        raise OSError(f"{flag} {path}: directory {parent} is not writable")
-    if os.path.isdir(path):
-        raise OSError(f"{flag} {path}: is a directory")
+def _check_destinations(outputs: dict, model: str | None = None) -> None:
+    """Raise OSError unless every output can be created or replaced as a file.
+
+    ``outputs`` maps each output flag to its path; a None or empty path is
+    not checked. No output may resolve to the same file as ``model`` or as
+    another output.
+    """
+    taken = {os.path.realpath(model): "--model"} if model else {}
+    for flag, path in outputs.items():
+        if not path:
+            continue
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise OSError(f"{flag} {path}: {parent} is not an existing directory")
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise OSError(f"{flag} {path}: directory {parent} is not writable")
+        if os.path.isdir(path):
+            raise OSError(f"{flag} {path}: is a directory")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise OSError(f"{flag} {path}: is the same file as {taken[real]}")
+        taken[real] = flag
 
 
 def cmd_train(args) -> int:
@@ -125,9 +138,7 @@ def cmd_train(args) -> int:
         validation_split=args.val_split,
         seed=args.seed,
     )
-    _check_destination("--out", args.out)
-    if args.history:
-        _check_destination("--history", args.history)
+    _check_destinations({"--out": args.out, "--history": args.history})
     size_cfg = data.PreprocessConfig()
     manifest = data.load_dataset(args.data, size_cfg, seed=args.seed)
     spec = models.build(args.arch, size_cfg.clip_shape, len(manifest.class_names))
@@ -145,6 +156,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    _check_destinations({"--report": args.report, "--matrix": args.matrix}, args.model)
     spec, params, preprocess, class_names = modelio.load_model(args.model)
     manifest = data.load_dataset(args.data, preprocess, seed=args.seed)
     if manifest.class_names != class_names:

@@ -6,13 +6,18 @@ returns a probability vector over classes. The architecture identifiers
 ``cnn_lstm | cnn3d | cnn_rnn_lstm | cnn_td`` are the stable strings used
 by the CLI and the model-file header.
 
+Each builder is its layer list. The chain alone sets each architecture's
+smallest clip: a builder traces its layers over the input shape and rejects
+a clip that its convolutions and pools cannot fit. cnn_rnn_lstm adds the
+one limit its chain does not imply, a floor of two frames.
+
 Default hyperparameters are sized so that the 3-d convolutional model has
 the largest parameter count of the four at the default input shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,44 +56,41 @@ class ModelSpec:
     architecture: str
     input_shape: tuple
     num_classes: int
-    layers: list[LayerConfig] = field(default_factory=list)
+    layers: list[LayerConfig]
 
     @property
     def feature_extractor_trainable(self) -> bool:
         return all(cfg.trainable for cfg in self.layers)
 
 
-def _validate_input(input_shape, num_classes, min_t, min_hw, arch):
-    if len(input_shape) != 4:
-        raise ShapeError(f"{arch}: input shape must be (T, H, W, C), got {input_shape}")
-    t, h, w, c = input_shape
-    if min(t, h, w, c) < 1:
-        raise ShapeError(f"{arch}: non-positive input extent in {input_shape}")
-    if t < min_t:
-        raise ShapeError(f"{arch}: needs at least {min_t} frames, got {t}")
-    if h < min_hw or w < min_hw:
-        raise ShapeError(f"{arch}: needs spatial extents >= {min_hw}, got {h}x{w}")
+def _spec(arch: str, input_shape, num_classes: int, layers: list[LayerConfig]) -> ModelSpec:
+    """The checked spec of one architecture's layer chain.
+
+    Only what the chain cannot see is checked here: a (T, H, W, C) shape
+    with positive extents and at least two classes. Tracing the chain then
+    rejects a clip too small for its convolutions and pools, so the layers
+    alone set each architecture's smallest clip.
+    """
+    shape = tuple(input_shape)
+    if len(shape) != 4:
+        raise ShapeError(f"{arch}: input shape must be (T, H, W, C), got {shape}")
+    if min(shape) < 1:
+        raise ShapeError(f"{arch}: non-positive input extent in {shape}")
     if num_classes < 2:
         raise ShapeError(f"{arch}: needs at least 2 classes")
+    try:
+        nn.trace_layers(layers, shape)
+    except ShapeError as exc:
+        raise ShapeError(f"{arch}: input {shape} is too small: {exc}") from exc
+    return ModelSpec(arch, shape, num_classes, layers)
 
 
-def _finish(spec: ModelSpec) -> ModelSpec:
-    # Shape-check the whole chain now so bad configs fail at build time.
-    out, _ = nn.trace_layers(spec.layers, spec.input_shape)
-    if out != (spec.num_classes,):
-        raise ShapeError(
-            f"{spec.architecture}: chain produces {out}, expected ({spec.num_classes},)"
-        )
-    return spec
-
-
-def build_cnn_lstm(input_shape=DEFAULT_INPUT_SHAPE, num_classes: int = 10) -> ModelSpec:
+def build_cnn_lstm(input_shape, num_classes: int) -> ModelSpec:
     """Convolutional-LSTM front end feeding a dense classifier.
 
     convlstm2d(8 filters, 3x3, same, final state) -> maxpool2d 2x2 ->
     flatten -> dense(num_classes) -> softmax.
     """
-    _validate_input(input_shape, num_classes, min_t=1, min_hw=2, arch="cnn_lstm")
     layers = [
         LayerConfig("convlstm2d", units=8, kernel_size=(3, 3), padding="same"),
         LayerConfig("maxpool2d", kernel_size=(2, 2)),
@@ -96,15 +98,14 @@ def build_cnn_lstm(input_shape=DEFAULT_INPUT_SHAPE, num_classes: int = 10) -> Mo
         LayerConfig("dense", units=num_classes),
         LayerConfig("softmax"),
     ]
-    return _finish(ModelSpec("cnn_lstm", tuple(input_shape), num_classes, layers))
+    return _spec("cnn_lstm", input_shape, num_classes, layers)
 
 
-def build_cnn3d(input_shape=DEFAULT_INPUT_SHAPE, num_classes: int = 10) -> ModelSpec:
+def build_cnn3d(input_shape, num_classes: int) -> ModelSpec:
     """Three conv3d/relu/maxpool3d blocks, then dense(128) and the classifier.
 
     Filter widths 8 -> 16 -> 32; the first pool keeps the time axis intact.
     """
-    _validate_input(input_shape, num_classes, min_t=4, min_hw=8, arch="cnn3d")
     layers = [
         LayerConfig("conv3d", filters=8, kernel_size=(3, 3, 3), padding="same"),
         LayerConfig("relu"),
@@ -121,7 +122,7 @@ def build_cnn3d(input_shape=DEFAULT_INPUT_SHAPE, num_classes: int = 10) -> Model
         LayerConfig("dense", units=num_classes),
         LayerConfig("softmax"),
     ]
-    return _finish(ModelSpec("cnn3d", tuple(input_shape), num_classes, layers))
+    return _spec("cnn3d", input_shape, num_classes, layers)
 
 
 def _frame_extractor(dense_units: int, trainable: bool) -> list[LayerConfig]:
@@ -139,9 +140,7 @@ def _frame_extractor(dense_units: int, trainable: bool) -> list[LayerConfig]:
 
 
 def build_cnn_rnn_lstm(
-    input_shape=DEFAULT_INPUT_SHAPE,
-    num_classes: int = 10,
-    feature_extractor_trainable: bool = False,
+    input_shape, num_classes: int, feature_extractor_trainable: bool = False
 ) -> ModelSpec:
     """Per-frame CNN features into a simple RNN, then an LSTM classifier head.
 
@@ -152,7 +151,6 @@ def build_cnn_rnn_lstm(
     paper's pretrained transfer-learning front end, since no pretrained
     weights ship with signet.
     """
-    _validate_input(input_shape, num_classes, min_t=2, min_hw=4, arch="cnn_rnn_lstm")
     layers = [
         LayerConfig(
             "time_distributed",
@@ -164,19 +162,23 @@ def build_cnn_rnn_lstm(
         LayerConfig("dense", units=num_classes),
         LayerConfig("softmax"),
     ]
-    return _finish(ModelSpec("cnn_rnn_lstm", tuple(input_shape), num_classes, layers))
+    spec = _spec("cnn_rnn_lstm", input_shape, num_classes, layers)
+    # The one limit the chain does not imply. It follows _spec, which has
+    # checked that the shape has a frame axis to read.
+    if spec.input_shape[0] < 2:
+        raise ShapeError(f"cnn_rnn_lstm: input {spec.input_shape} is too small: needs 2 frames")
+    return spec
 
 
-def build_cnn_td(input_shape=DEFAULT_INPUT_SHAPE, num_classes: int = 10) -> ModelSpec:
+def build_cnn_td(input_shape, num_classes: int) -> ModelSpec:
     """Shared-weight per-frame CNN, flattened over time into the classifier."""
-    _validate_input(input_shape, num_classes, min_t=1, min_hw=4, arch="cnn_td")
     layers = [
         LayerConfig("time_distributed", wrapped=_frame_extractor(32, True)),
         LayerConfig("flatten"),
         LayerConfig("dense", units=num_classes),
         LayerConfig("softmax"),
     ]
-    return _finish(ModelSpec("cnn_td", tuple(input_shape), num_classes, layers))
+    return _spec("cnn_td", input_shape, num_classes, layers)
 
 
 _BUILDERS = {

@@ -648,26 +648,27 @@ def _ordered_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
       is added into it in place. With K = 1 the result is the product itself.
 
     IEEE addition is commutative, so ``first + carry`` and ``out + p_k`` are
-    the fold's next step exactly. Overflow is left to the caller's
-    finiteness check rather than reported by numpy.
+    the fold's next step exactly. Its callers switch numpy's float warnings
+    off: ``matmul`` runs its forward in an ``np.errstate`` block and its
+    backward inside ``Tape.backward``'s, so overflow is left to the
+    finiteness checks of the float-error rule rather than reported by numpy.
     """
     m, k = a.shape
     n = b.shape[1]
     step = max(1, _MATMUL_BLOCK_ELEMS // (m * n))
     over_output = m * n > 4 * k
     out = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, k, step):
-            prod = a[:, lo : lo + step, None] * b[None, lo : lo + step, :]
-            if over_output:
-                if out is None:
-                    out, prod = np.ascontiguousarray(prod[:, 0]), prod[:, 1:]
-                for j in range(prod.shape[1]):
-                    out += prod[:, j]
-            else:
-                if out is not None:
-                    prod[:, 0] += out
-                out = np.add.accumulate(prod, axis=1)[:, -1]
+    for lo in range(0, k, step):
+        prod = a[:, lo : lo + step, None] * b[None, lo : lo + step, :]
+        if over_output:
+            if out is None:
+                out, prod = np.ascontiguousarray(prod[:, 0]), prod[:, 1:]
+            for j in range(prod.shape[1]):
+                out += prod[:, j]
+        else:
+            if out is not None:
+                prod[:, 0] += out
+            out = np.add.accumulate(prod, axis=1)[:, -1]
     return out
 
 
@@ -677,7 +678,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} vs {b.shape}")
-    out = _ordered_matmul(a.data, b.data)
+    with np.errstate(all="ignore"):
+        out = _ordered_matmul(a.data, b.data)
     ad, bd = a.data, b.data
 
     def bw(g):

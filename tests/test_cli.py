@@ -180,6 +180,69 @@ class TestCommands:
         assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("history", ["m.slm", "./m.slm", "link.slm"])
+    def test_train_history_cannot_replace_the_model(
+        self, tmp_path, monkeypatch, capsys, history
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("load_dataset called before the destinations were checked")
+
+        monkeypatch.setattr(data, "load_dataset", fail)
+        (tmp_path / "m.slm").write_bytes(b"old model")
+        (tmp_path / "link.slm").symlink_to(tmp_path / "m.slm")
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["train", "--data", str(tmp_path), "--arch", "cnn_td",
+                       "--out", "m.slm", "--history", history])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --history {history}: is the same file as --out\n"
+        assert (tmp_path / "m.slm").read_bytes() == b"old model"
+
+    @pytest.mark.parametrize("flag,dest", [
+        ("--report", "missing/r.txt"),
+        ("--matrix", "adir"),
+        ("--report", "m.slm"),
+        ("--matrix", "m.slm"),
+        ("--report", "link.slm"),
+        ("--matrix", "r.txt"),
+    ])
+    def test_evaluate_destinations_checked_before_the_model_is_read(
+        self, tmp_path, monkeypatch, capsys, flag, dest
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("evaluate read an input before checking its outputs")
+
+        monkeypatch.setattr(modelio, "load_model", fail)
+        monkeypatch.setattr(data, "load_dataset", fail)
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "m.slm").write_bytes(b"old model")
+        (tmp_path / "link.slm").symlink_to(tmp_path / "m.slm")
+        (tmp_path / "r.txt").write_text("old report")
+        paths = {"--report": str(tmp_path / "r.txt"), "--matrix": str(tmp_path / "c.csv")}
+        paths[flag] = str(tmp_path / dest)
+        rc = cli.main(["evaluate", "--model", str(tmp_path / "m.slm"), "--data", str(tmp_path),
+                       "--report", paths["--report"], "--matrix", paths["--matrix"]])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+        assert (tmp_path / "m.slm").read_bytes() == b"old model"
+        assert (tmp_path / "r.txt").read_text() == "old report"
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_evaluate_report_cannot_replace_its_model(self, trained, tiny_corpus, tmp_path,
+                                                     capsys):
+        model = tmp_path / "m.slm"
+        model.write_bytes(Path(trained).read_bytes())
+        rc = cli.main(["evaluate", "--model", str(model), "--data", tiny_corpus,
+                       "--seed", "11", "--report", str(model)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --report {model}: is the same file as --model\n"
+        assert model.read_bytes() == Path(trained).read_bytes()
+        rc = cli.main(["grade", "--model", str(model), "--clip", _a_clip_dir(tiny_corpus)])
+        assert rc == 0
+
     def test_evaluate_writes_report_and_matrix(self, trained, tiny_corpus, tmp_path, capsys):
         report = tmp_path / "report.txt"
         matrix = tmp_path / "matrix.csv"

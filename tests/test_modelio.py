@@ -211,12 +211,15 @@ class TestRejection:
             lambda h: {**h, "layers": [{**d, "trainable": True} if d["kind"] == "flatten" else d
                                        for d in h["layers"]]},
             lambda h: {k: v for k, v in h.items() if k != "feature_extractor_trainable"},
+            lambda h: {**h, "input_shape": [6, 3, 3, 1]},
+            lambda h: {**h, "architecture": "cnn_rnn_lstm", "input_shape": []},
+            lambda h: {**h, "architecture": "cnn_rnn_lstm", "input_shape": [1, 16, 16, 1]},
         ],
         ids=["array", "no_offset", "str_length", "tensors_object", "unknown_arch",
              "int_input_shape", "zero_extent", "huge_extent", "layer_not_object",
              "unknown_layer_key", "stride_key", "bad_preprocess", "str_class_names",
              "no_checksum", "preprocess_mismatch", "float_preprocess", "redundant_layer_key",
-             "no_extractor_flag"],
+             "no_extractor_flag", "too_small_input", "empty_input_shape", "one_frame_rnn"],
     )
     def test_malformed_header_is_a_format_error(self, saved, tmp_path, capsys, mutate):
         path, *_ = saved

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -53,6 +54,47 @@ class TestBuilders:
             models.build_cnn_rnn_lstm((1, 64, 64, 1), 4)
         with pytest.raises(ShapeError):
             models.build_cnn_td((4, 2, 2, 1), 4)
+
+    # (frames, height and width) of each architecture's smallest clip: the
+    # limits its builder once stated by hand, which the chain now implies.
+    SMALLEST = {
+        "cnn_lstm": (1, 2, 2),
+        "cnn3d": (4, 8, 8),
+        "cnn_rnn_lstm": (2, 4, 4),
+        "cnn_td": (1, 4, 4),
+    }
+
+    @pytest.mark.parametrize("arch", models.ARCHITECTURES)
+    def test_smallest_clip_builds_and_one_less_is_rejected(self, arch):
+        t, h, w = self.SMALLEST[arch]
+        assert models.build(arch, (t, h, w, 1), 4).input_shape == (t, h, w, 1)
+        for shape in [(t - 1, h, w, 1), (t, h - 1, w, 1), (t, h, w - 1, 1)]:
+            with pytest.raises(ShapeError) as exc:
+                models.build(arch, shape, 4)
+            reason = "non-positive input extent" if 0 in shape else "is too small"
+            assert str(exc.value).startswith(f"{arch}: "), exc.value
+            assert str(shape) in str(exc.value) and reason in str(exc.value), exc.value
+
+    def test_accepted_shapes_follow_the_smallest_clips(self):
+        # Every (T, H, W, 1) with T in 1..6 and H, W in 1..10, for every
+        # architecture: a clip builds exactly when no extent is below the
+        # architecture's smallest clip.
+        extents = itertools.product(range(1, 7), range(1, 11), range(1, 11))
+        accepted = 0
+        for (t, h, w), arch in itertools.product(extents, models.ARCHITECTURES):
+            min_t, min_h, min_w = self.SMALLEST[arch]
+            try:
+                models.build(arch, (t, h, w, 1), 4)
+                built = True
+            except ShapeError:
+                built = False
+            assert built == (t >= min_t and h >= min_h and w >= min_w), (arch, t, h, w)
+            accepted += built
+        assert accepted == 1052  # of 2400
+
+    def test_rank_is_checked_before_the_frame_floor(self):
+        with pytest.raises(ShapeError, match="must be"):
+            models.build("cnn_rnn_lstm", (), 4)
 
     @pytest.mark.parametrize("arch", models.ARCHITECTURES)
     @pytest.mark.parametrize("trainable", [False, True])
