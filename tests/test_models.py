@@ -92,10 +92,6 @@ class TestBuilders:
             accepted += built
         assert accepted == 1052  # of 2400
 
-    def test_rank_is_checked_before_the_frame_floor(self):
-        with pytest.raises(ShapeError, match="must be"):
-            models.build("cnn_rnn_lstm", (), 4)
-
     @pytest.mark.parametrize("arch", models.ARCHITECTURES)
     @pytest.mark.parametrize("trainable", [False, True])
     def test_feature_extractor_trainable_follows_the_layers(self, arch, trainable):
