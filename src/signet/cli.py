@@ -104,14 +104,24 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _file_key(path: str):
+    """What names one file: ``(st_dev, st_ino)`` once it exists, which also
+    sees hard links, as ``os.path.samefile`` does; else its resolved path."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _check_destinations(outputs: dict, model: str | None = None) -> None:
     """Raise OSError unless every output can be created or replaced as a file.
 
     ``outputs`` maps each output flag to its path; a None or empty path is
-    not checked. No output may resolve to the same file as ``model`` or as
-    another output.
+    not checked. No output may be the same file as ``model`` or as another
+    output, whether through a symlink or a hard link.
     """
-    taken = {os.path.realpath(model): "--model"} if model else {}
+    taken = {_file_key(model): "--model"} if model else {}
     for flag, path in outputs.items():
         if not path:
             continue
@@ -122,10 +132,10 @@ def _check_destinations(outputs: dict, model: str | None = None) -> None:
             raise OSError(f"{flag} {path}: directory {parent} is not writable")
         if os.path.isdir(path):
             raise OSError(f"{flag} {path}: is a directory")
-        real = os.path.realpath(path)
-        if real in taken:
-            raise OSError(f"{flag} {path}: is the same file as {taken[real]}")
-        taken[real] = flag
+        key = _file_key(path)
+        if key in taken:
+            raise OSError(f"{flag} {path}: is the same file as {taken[key]}")
+        taken[key] = flag
 
 
 def cmd_train(args) -> int:
@@ -145,7 +155,8 @@ def cmd_train(args) -> int:
     params, history = train.fit(spec, manifest, cfg)
     modelio.save_model(spec, params, size_cfg, manifest.class_names, args.out)
     if args.history:
-        history.write_csv(args.history)
+        with open(args.history, "w", newline="") as fh:
+            fh.write(history.to_csv())
     last = history.records[-1]
     print(
         f"epoch {last.epoch}: train_loss={last.train_loss:.6g} "

@@ -311,11 +311,13 @@ class Tape:
     """Ordered record of operations for one reverse pass.
 
     Nodes are appended in execution order, which is a topological order by
-    construction; ``backward`` walks them once, in reverse, and a tape runs
-    backward at most once, since its tensors keep the gradients of the
-    first pass. ``nodes`` stays readable afterwards. Entering a tape
-    makes it the active one in the current thread only, so tapes opened in
-    concurrent threads never record each other's operations.
+    construction; ``backward`` walks them once, in reverse. Gradients land
+    on the leaves: the tensors no node on this tape produced, such as
+    parameters and clips. A tape runs backward at most once, since a second
+    pass would add into the leaves' gradients again. ``nodes`` stays
+    readable afterwards. Entering a tape makes it the active one in the
+    current thread only, so tapes opened in concurrent threads never record
+    each other's operations.
     """
 
     def __init__(self):
@@ -331,7 +333,14 @@ class Tape:
         return False
 
     def backward(self, loss: Tensor) -> None:
-        """Populate ``grad`` on every tensor the scalar loss depends on."""
+        """Add the scalar loss's gradient into ``grad`` of every leaf it depends on.
+
+        A produced tensor's gradient is complete once the reverse walk
+        reaches its producer, because every consumer comes later on the
+        tape. The walk hands it to the producer's ``bw`` and drops it, so
+        after the pass every produced tensor's ``grad`` is None. Each ``bw``
+        returns, per input, None or an array of that input's shape and dtype.
+        """
         if loss.numel != 1:
             raise TapeError(f"loss must be scalar, got shape {loss.shape}")
         if not any(node.out is loss for node in reversed(self.nodes)):
@@ -342,15 +351,12 @@ class Tape:
         loss.grad = np.ones_like(loss.data)
         with np.errstate(all="ignore"):
             for node in reversed(self.nodes):
-                gout = node.out.grad
+                gout, node.out.grad = node.out.grad, None
                 if gout is None:
                     continue
-                grads = node.bw(gout)
-                for t, g in zip(node.inputs, grads):
-                    if g is None:
-                        continue
-                    g = np.asarray(g, dtype=t.data.dtype).reshape(t.data.shape)
-                    t.grad = g if t.grad is None else t.grad + g
+                for t, g in zip(node.inputs, node.bw(gout)):
+                    if g is not None:
+                        t.grad = g if t.grad is None else t.grad + g
 
 
 def record() -> Tape:
@@ -387,10 +393,11 @@ def _axis(op: str, axis: int, ndim: int) -> int:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum g down to ``shape`` (inverse of numpy broadcasting)."""
+    """Sum g down to ``shape`` (inverse of numpy broadcasting), as an array
+    even for a 0-d ``shape``."""
     extra = g.ndim - len(shape)
     if extra:
-        g = g.sum(axis=tuple(range(extra)))
+        g = np.asarray(g.sum(axis=tuple(range(extra))))
     axes = tuple(i for i, e in enumerate(shape) if e == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
@@ -736,20 +743,6 @@ def _window_view(xp: np.ndarray, k_sp, strides, outs) -> np.ndarray:
     return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides_full)
 
 
-def _conv_forward(x, w, b, pads, strides, outs):
-    """im2col + 64-bit GEMM, rounded once to the working dtype."""
-    n = len(outs)
-    xp = np.pad(x, tuple(pads) + ((0, 0),))
-    cols = np.ascontiguousarray(_window_view(xp, w.shape[:n], strides, outs)).reshape(
-        int(np.prod(outs, dtype=np.int64)), -1
-    )
-    wmat = w.reshape(-1, w.shape[-1]).astype(np.float64)
-    out = cols.astype(np.float64) @ wmat
-    if b is not None:
-        out = out + b.astype(np.float64)
-    return out.reshape(tuple(outs) + (w.shape[-1],)).astype(x.dtype), xp.shape, cols
-
-
 def _scatter_windows(cols: np.ndarray, shape, strides) -> np.ndarray:
     """Adjoint of ``_window_view``: sum window cells (out..., k..., C) back
     onto a zero array of ``shape``.
@@ -770,34 +763,16 @@ def _scatter_windows(cols: np.ndarray, shape, strides) -> np.ndarray:
     return out
 
 
-def _conv_backward(gout, cin, w, xp_shape, cols, pads, strides, outs, need_gx):
-    """Gradients for input, kernel, bias, contracted in the working dtype.
-
-    Gradient kernels only need run-to-run determinism, not the forward
-    path's 64-bit accumulation, so they stay in the tensors' own dtype.
-    The input gradient (a GEMM plus the col2im scatter ``_scatter_windows``)
-    is computed only when ``need_gx`` is set and is None otherwise, so a
-    conv on a gradient-free input such as a raw clip pays for the kernel
-    and bias gradients alone.
-    """
-    n = len(outs)
-    cout = w.shape[-1]
-    gmat = np.ascontiguousarray(gout.reshape(-1, cout))
-
-    gw = (cols.T @ gmat).reshape(w.shape)
-
-    gb = gmat.sum(axis=0)
-    if not need_gx:
-        return None, gw, gb
-
-    dcols = (gmat @ w.reshape(-1, cout).T).reshape(tuple(outs) + w.shape[:n] + (cin,))
-    gxp = _scatter_windows(dcols, xp_shape, strides)
-    unpad = tuple(slice(lo, gxp.shape[i] - hi) for i, (lo, hi) in enumerate(pads))
-    return np.ascontiguousarray(gxp[unpad]), gw, gb
-
-
 def _conv_nd(x: Tensor, kernel: Tensor, bias, padding, stride, ndim: int, op: str) -> Tensor:
-    _same_dtype(x, kernel, *( (bias,) if bias is not None else () ))
+    """im2col + one 64-bit GEMM and bias add, rounded once to the working dtype.
+
+    Backward contracts in the working dtype: gradient kernels only need
+    run-to-run determinism, not the forward's 64-bit accumulation. Each
+    gradient is computed only for an operand that requires it, so a conv on
+    a gradient-free input such as a raw clip skips the input gradient's GEMM
+    and col2im scatter (``_scatter_windows``).
+    """
+    _same_dtype(x, kernel, *((bias,) if bias is not None else ()))
     if x.data.ndim != ndim + 1:
         raise ShapeError(f"{op}: input must have {ndim + 1} dims, got {x.shape}")
     if kernel.data.ndim != ndim + 2:
@@ -810,19 +785,30 @@ def _conv_nd(x: Tensor, kernel: Tensor, bias, padding, stride, ndim: int, op: st
         raise ShapeError(f"{op}: bias shape {bias.shape} != ({kernel.shape[-1]},)")
     strides = _norm_stride(stride, ndim)
     pads, outs = _conv_geometry(x.shape[:ndim], kernel.shape[:ndim], strides, padding)
-    bdata = bias.data if bias is not None else None
+    k_sp, cin, cout = kernel.shape[:ndim], x.shape[-1], kernel.shape[-1]
+    wmat = kernel.data.reshape(-1, cout)
+    xp = np.pad(x.data, pads + ((0, 0),))
+    xp_shape = xp.shape
+    cols = np.ascontiguousarray(_window_view(xp, k_sp, strides, outs)).reshape(-1, len(wmat))
+    del xp  # the padded copy dies before the GEMM; backward needs only its extents
     with np.errstate(all="ignore"):
-        out, xp_shape, cols = _conv_forward(x.data, kernel.data, bdata, pads, strides, outs)
+        out = cols.astype(np.float64) @ wmat.astype(np.float64)
+        if bias is not None:
+            out += bias.data
+        out = out.reshape(outs + (cout,)).astype(x.data.dtype)
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    cin, kd = x.shape[-1], kernel.data
 
     def bw(g):
-        gx, gw, gb = _conv_backward(
-            g, cin, kd, xp_shape, cols, pads, strides, outs, x.requires_grad
-        )
-        grads = [gx, gw if kernel.requires_grad else None]
+        gmat = np.ascontiguousarray(g.reshape(-1, cout))
+        gx = None
+        if x.requires_grad:
+            dcols = (gmat @ wmat.T).reshape(outs + k_sp + (cin,))
+            gxp = _scatter_windows(dcols, xp_shape, strides)
+            unpad = tuple(slice(lo, e - hi) for e, (lo, hi) in zip(xp_shape, pads))
+            gx = np.ascontiguousarray(gxp[unpad])
+        grads = [gx, (cols.T @ gmat).reshape(kernel.shape) if kernel.requires_grad else None]
         if bias is not None:
-            grads.append(gb if bias.requires_grad else None)
+            grads.append(gmat.sum(axis=0) if bias.requires_grad else None)
         return tuple(grads)
 
     return _result(out, inputs, bw, op)

@@ -91,10 +91,6 @@ class History:
             )
         return buf.getvalue()
 
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
-
 
 class AdamState:
     """First/second moment buffers; beta1=0.9, beta2=0.999, eps=1e-7."""

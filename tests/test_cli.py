@@ -180,7 +180,7 @@ class TestCommands:
         assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("history", ["m.slm", "./m.slm", "link.slm"])
+    @pytest.mark.parametrize("history", ["m.slm", "./m.slm", "link.slm", "hard.slm"])
     def test_train_history_cannot_replace_the_model(
         self, tmp_path, monkeypatch, capsys, history
     ):
@@ -190,6 +190,7 @@ class TestCommands:
         monkeypatch.setattr(data, "load_dataset", fail)
         (tmp_path / "m.slm").write_bytes(b"old model")
         (tmp_path / "link.slm").symlink_to(tmp_path / "m.slm")
+        os.link(tmp_path / "m.slm", tmp_path / "hard.slm")
         monkeypatch.chdir(tmp_path)
         rc = cli.main(["train", "--data", str(tmp_path), "--arch", "cnn_td",
                        "--out", "m.slm", "--history", history])
@@ -204,6 +205,7 @@ class TestCommands:
         ("--report", "m.slm"),
         ("--matrix", "m.slm"),
         ("--report", "link.slm"),
+        ("--report", "hard.slm"),
         ("--matrix", "r.txt"),
     ])
     def test_evaluate_destinations_checked_before_the_model_is_read(
@@ -217,6 +219,7 @@ class TestCommands:
         (tmp_path / "adir").mkdir()
         (tmp_path / "m.slm").write_bytes(b"old model")
         (tmp_path / "link.slm").symlink_to(tmp_path / "m.slm")
+        os.link(tmp_path / "m.slm", tmp_path / "hard.slm")
         (tmp_path / "r.txt").write_text("old report")
         paths = {"--report": str(tmp_path / "r.txt"), "--matrix": str(tmp_path / "c.csv")}
         paths[flag] = str(tmp_path / dest)

@@ -463,6 +463,35 @@ class TestMaxpool:
 # ---------------------------------------------------------------------------
 
 
+# One call per op: the op applied to tensors of the listed shapes. Operands
+# are drawn from [0.5, 1.5], inside clip's range and away from relu's kink
+# and log's pole; the elementwise pairs broadcast.
+_BW_CASES = {
+    "add": (tn.add, [(2, 3), (3,)]),
+    "sub": (tn.sub, [(2, 1), (1, 3)]),
+    "mul": (tn.mul, [(), (2, 3)]),
+    "neg": (tn.neg, [(2, 3)]),
+    "scale": (lambda a: tn.scale(a, 3.0), [(2, 3)]),
+    "log": (tn.log, [(2, 3)]),
+    "clip": (lambda a: tn.clip(a, 0.0, 2.0), [(2, 3)]),
+    "relu": (tn.relu, [(2, 3)]),
+    "sigmoid": (tn.sigmoid, [(2, 3)]),
+    "tanh": (tn.tanh, [(2, 3)]),
+    "softmax": (lambda a: tn.softmax(a, axis=0), [(2, 3)]),
+    "reshape": (lambda a: tn.reshape(a, (3, 2)), [(2, 3)]),
+    "narrow": (lambda a: tn.narrow(a, 1, 1, 2), [(2, 3)]),
+    "stack": (lambda *ts: tn.stack(list(ts), axis=1), [(2, 3), (2, 3)]),
+    "reduce_sum": (tn.reduce_sum, [(2, 3)]),
+    "reduce_mean": (lambda a: tn.reduce_mean(a, axis=1), [(2, 3)]),
+    "matmul": (tn.matmul, [(2, 3), (3, 4)]),
+    "conv2d": (lambda x, k, b: tn.conv2d(x, k, b, padding="same", stride=2),
+               [(5, 4, 2), (3, 3, 2, 3), (3,)]),
+    "conv3d": (tn.conv3d, [(3, 4, 4, 2), (2, 3, 3, 2, 3)]),
+    "maxpool2d": (lambda a: tn.maxpool2d(a, (2, 2)), [(4, 5, 2)]),
+    "maxpool3d": (lambda a: tn.maxpool3d(a, (1, 2, 2)), [(2, 4, 4, 2)]),
+}
+
+
 class TestBackward:
     def test_sum_of_squares_gradient_exact(self):
         xv = np.random.default_rng(0).uniform(-1, 1, (3, 4)).astype(np.float32)
@@ -517,7 +546,7 @@ class TestBackward:
         assert grads == {"a": [2.0, 2.0, 2.0], "b": [4.0, 4.0, 4.0]}
 
     def test_second_backward_raises_and_keeps_first_gradients(self):
-        # A second pass would start from the first pass's intermediate grads.
+        # A second pass would add into the leaves' gradients a second time.
         x, w = t32([3.0]), t32([2.0], requires_grad=True)
         with tn.record() as tape:
             y = tn.mul(x, w)
@@ -606,6 +635,51 @@ class TestBackward:
         assert xa is not None and xb is None
         assert ka.tobytes() == kb.tobytes()
         assert ba.tobytes() == bb.tobytes()
+
+    def test_backward_cases_cover_every_op(self):
+        ops = {name for name in tn.__all__ if inspect.isfunction(getattr(tn, name))}
+        assert set(_BW_CASES) == ops - {"record", "grad_check"}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", sorted(_BW_CASES))
+    def test_bw_returns_each_input_shape_and_dtype(self, op, dtype):
+        # The tape adds these arrays into grad as they are, without a re-cast.
+        fn, shapes = _BW_CASES[op]
+        rng = np.random.default_rng(5)
+        masks = [(True,) * len(shapes)]
+        if len(shapes) > 1:
+            masks += [tuple(i == j for i in range(len(shapes))) for j in range(len(shapes))]
+        for needs in masks:
+            inputs = [Tensor(rng.uniform(0.5, 1.5, s).astype(dtype), requires_grad=r)
+                      for s, r in zip(shapes, needs)]
+            with tn.record() as tape:
+                out = fn(*inputs)
+            (node,) = tape.nodes
+            assert node.out is out and len(node.inputs) == len(inputs)
+            grads = node.bw(rng.uniform(-1, 1, out.shape).astype(dtype))
+            assert len(grads) == len(inputs)
+            for t, g in zip(node.inputs, grads):
+                if not t.requires_grad:
+                    assert g is None, (op, needs)
+                    continue
+                assert isinstance(g, np.ndarray), (op, needs)
+                assert (g.shape, g.dtype) == (t.shape, t.data.dtype), (op, needs)
+
+    def test_grads_land_on_leaves_and_leave_produced_tensors(self):
+        rng = np.random.default_rng(6)
+        clip = t32(rng.uniform(-1, 1, (4, 4, 1)))
+        k = t32(rng.uniform(-1, 1, (3, 3, 1, 2)), requires_grad=True)
+        w = t32(rng.uniform(-1, 1, (8, 3)), requires_grad=True)
+        with tn.record() as tape:
+            h = tn.relu(tn.conv2d(clip, k, padding="same"))
+            flat = tn.reshape(tn.maxpool2d(h, (2, 2)), (1, 8))
+            z = tn.add(tn.matmul(flat, w), tn.matmul(flat, w))  # w feeds two nodes
+            loss = tn.scale(tn.reduce_sum(tn.log(tn.softmax(z))), -1.0)
+        tape.backward(loss)
+        assert k.grad.shape == k.shape and w.grad.shape == w.shape
+        assert clip.grad is None
+        assert len(tape.nodes) == 11
+        assert all(node.out.grad is None for node in tape.nodes)
 
 
 class TestGradCheck:
