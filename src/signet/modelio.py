@@ -45,7 +45,7 @@ from . import models, nn
 from .data import PreprocessConfig
 from .models import ModelSpec
 from .nn import ParameterStore
-from .tensor import Tensor
+from .tensor import NonFiniteError, Tensor
 
 __all__ = [
     "ModelFormatError",
@@ -324,7 +324,7 @@ def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, 
             f"{spec.architecture} model"
         )
 
-    payload = data[_align8(8 + header_len) :]
+    payload = memoryview(data)[_align8(8 + header_len) :]
     table = expected["tensors"]
     if len(payload) < _payload_size(table):
         raise TruncatedPayloadError(f"{path}: payload too short for its tensor table")
@@ -334,8 +334,9 @@ def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, 
     store = ParameterStore()
     for entry, plan in zip(table, plans):
         raw = payload[entry["offset"] : entry["offset"] + entry["length"]]
-        arr = np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(plan.shape)
-        if not np.isfinite(arr).all():
-            raise ModelFormatError(f"{path}: tensor {plan.name!r} holds non-finite values")
-        store.add(plan.name, Tensor(arr), trainable=plan.trainable)
+        try:
+            t = Tensor(np.frombuffer(raw, dtype="<f4").reshape(plan.shape).astype(np.float32))
+        except NonFiniteError as exc:
+            raise ModelFormatError(f"{path}: tensor {plan.name!r} holds non-finite values") from exc
+        store.add(plan.name, t, trainable=plan.trainable)
     return spec, store, preprocess, class_names

@@ -244,4 +244,4 @@ def forward(spec: ModelSpec, params: ParameterStore, clip: Tensor) -> Tensor:
 def predict_probs(spec: ModelSpec, params: ParameterStore, frames: np.ndarray) -> np.ndarray:
     """Forward pass outside any tape; returns a plain numpy probability row."""
     out = forward(spec, params, Tensor(np.asarray(frames, dtype=np.float32)))
-    return out.data.copy()
+    return out.data

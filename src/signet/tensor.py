@@ -6,6 +6,12 @@ Every kernel validates shapes up front and raises ``NonFiniteError`` if an
 output contains NaN/Inf, so bad values never propagate silently into
 training.
 
+A forward computes only what its output needs. Its ``bw`` reads the inputs
+its tape node already holds, and what the forward built on the way, such as
+conv's im2col or max pooling's argmax; anything only backward needs, like
+relu's and clip's masks, ``bw`` builds from those inputs. So an untaped
+forward does no work for a backward that never runs.
+
 Float errors have one rule: ``NonFiniteError`` is the only signal. numpy's
 float warnings are off inside every op, ``Tape.backward`` and the update of
 ``train.adam_step``, through ``np.errstate`` blocks, never process-wide.
@@ -471,20 +477,18 @@ def log(a: Tensor) -> Tensor:
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp to [lo, hi]; gradient passes through where lo <= x <= hi."""
     out = np.clip(a.data, lo, hi)
-    mask = ((a.data >= lo) & (a.data <= hi)).astype(a.data.dtype)
 
     def bw(g):
-        return (g * mask,)
+        return (g * ((a.data >= lo) & (a.data <= hi)),)
 
     return _result(out, (a,), bw, "clip")
 
 
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0)
-    mask = (a.data > 0).astype(a.data.dtype)
 
     def bw(g):
-        return (g * mask,)
+        return (g * (a.data > 0),)
 
     return _result(out, (a,), bw, "relu")
 
@@ -493,8 +497,8 @@ def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     # exp(-|x|) never overflows; both halves are the same rational in it.
     e = np.exp(-np.abs(x))
-    denom = 1.0 + e
-    out = np.where(x >= 0, 1.0 / denom, e / denom)
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
 
     def bw(g):
         return (g * out * (1.0 - out),)
@@ -601,36 +605,31 @@ def _ordered_sum(x: np.ndarray, axis, keepdims: bool = False) -> np.ndarray:
     return out if keepdims else out.squeeze(axis=axis)
 
 
-def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
-    if axis is not None:
-        axis = _axis("reduce_sum", axis, a.data.ndim)
+def _reduce(op: str, a: Tensor, axis: int | None, mean: bool) -> Tensor:
+    """Ordered sum of ``a`` along ``axis`` (all axes when None), divided by
+    the reduced count when ``mean``; backward broadcasts ``g`` (or g/n) back."""
+    axis = None if axis is None else _axis(op, axis, a.data.ndim)
+    n = np.asarray(a.numel if axis is None else a.shape[axis], dtype=a.data.dtype)
     with np.errstate(all="ignore"):
         out = _ordered_sum(a.data, axis)
-    ash = a.shape
+        if mean:
+            out = out / n
 
     def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g.reshape(()), ash).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), ash).copy(),)
+        if mean:
+            g = g / n
+        g = g.reshape(()) if axis is None else np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _result(out, (a,), bw, "reduce_sum")
+    return _result(out, (a,), bw, op)
+
+
+def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
+    return _reduce("reduce_sum", a, axis, mean=False)
 
 
 def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
-    if axis is not None:
-        axis = _axis("reduce_mean", axis, a.data.ndim)
-    n = a.numel if axis is None else a.shape[axis]
-    with np.errstate(all="ignore"):
-        out = _ordered_sum(a.data, axis) / np.asarray(n, dtype=a.data.dtype)
-    ash = a.shape
-
-    def bw(g):
-        gg = g / np.asarray(n, dtype=g.dtype)
-        if axis is None:
-            return (np.broadcast_to(gg.reshape(()), ash).copy(),)
-        return (np.broadcast_to(np.expand_dims(gg, axis), ash).copy(),)
-
-    return _result(out, (a,), bw, "reduce_mean")
+    return _reduce("reduce_mean", a, axis, mean=True)
 
 
 # Elements in one (M, chunk, N) product block of the ordered matmul. It sets

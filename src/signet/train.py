@@ -171,7 +171,7 @@ def adam_step(params: ParameterStore, state: AdamState, lr: float) -> None:
             v *= b2
             v += (1.0 - b2) * (g * g)
             update = (lr / bc1) * m / (np.sqrt(v / bc2) + eps)
-            p.data -= update.astype(p.data.dtype)
+            p.data -= update
         if not np.isfinite(p.data).all():
             raise tn.NonFiniteError(f"parameter {name!r} diverged to non-finite values")
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from signet import cli, models, modelio
+from signet import cli, models, modelio, train
 from signet.data import PreprocessConfig
 from signet.tensor import Rng
 
@@ -147,6 +147,31 @@ class TestLoad:
             a = models.predict_probs(spec, params, clip)
             b = models.predict_probs(spec2, params2, clip)
             assert np.array_equal(a, b)
+
+    def test_loaded_parameters_are_independent_writable_arrays(self, saved, monkeypatch):
+        # Views of the file's bytes would be read-only, and adam_step writes in place.
+        path, *_ = saved
+        views = []
+        frombuffer = np.frombuffer
+
+        def spy(*args, **kwargs):
+            views.append(frombuffer(*args, **kwargs))
+            return views[-1]
+
+        monkeypatch.setattr(np, "frombuffer", spy)
+        _, params, _, _ = modelio.load_model(path)
+        monkeypatch.undo()
+        assert views
+        for name in params.names():
+            data = params[name].data
+            assert data.flags.writeable and data.flags.owndata, name
+            assert not any(np.shares_memory(data, v) for v in views), name
+            params[name].grad = np.ones_like(data)
+        before = {name: params[name].data.copy() for name in params.names()}
+        train.adam_step(params, train.AdamState(), 1e-3)
+        for name in params.names():
+            moved = not np.array_equal(params[name].data, before[name])
+            assert moved == params.is_trainable(name), name
 
     def test_reserialization_identical(self, saved, tmp_path):
         path, *_ = saved

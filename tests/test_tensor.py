@@ -492,6 +492,21 @@ _BW_CASES = {
 }
 
 
+# relu and clip at their boundaries, with clip's range [-0.5, 2.0]. Per x:
+# relu(x), relu's gradient for g = 1, -1, -0.0, then the same for clip. A
+# gradient that does not pass is g * 0.0, a zero with g's sign.
+_LO, _HI = -0.5, 2.0
+_KINK_ROWS = [
+    (-1.0, 0.0, (0.0, -0.0, -0.0), -0.5, (0.0, -0.0, -0.0)),  # below lo
+    (-0.0, 0.0, (0.0, -0.0, -0.0), -0.0, (1.0, -1.0, -0.0)),
+    (0.0, 0.0, (0.0, -0.0, -0.0), 0.0, (1.0, -1.0, -0.0)),  # relu's kink passes nothing
+    (_LO, 0.0, (0.0, -0.0, -0.0), -0.5, (1.0, -1.0, -0.0)),  # clip's bounds are inclusive
+    (_HI, 2.0, (1.0, -1.0, -0.0), 2.0, (1.0, -1.0, -0.0)),
+    (0.75, 0.75, (1.0, -1.0, -0.0), 0.75, (1.0, -1.0, -0.0)),  # inside
+    (3.0, 3.0, (1.0, -1.0, -0.0), 2.0, (0.0, -0.0, -0.0)),  # beyond hi
+]
+
+
 class TestBackward:
     def test_sum_of_squares_gradient_exact(self):
         xv = np.random.default_rng(0).uniform(-1, 1, (3, 4)).astype(np.float32)
@@ -664,6 +679,44 @@ class TestBackward:
                     continue
                 assert isinstance(g, np.ndarray), (op, needs)
                 assert (g.shape, g.dtype) == (t.shape, t.data.dtype), (op, needs)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", ["relu", "clip"])
+    def test_relu_and_clip_at_their_boundaries(self, op, dtype):
+        fn = tn.relu if op == "relu" else (lambda a: tn.clip(a, _LO, _HI))
+        col = 1 if op == "relu" else 3
+        x = np.array([row[0] for row in _KINK_ROWS], dtype=dtype)
+        with tn.record() as tape:
+            out = fn(Tensor(x, requires_grad=True))
+        want = np.array([row[col] for row in _KINK_ROWS], dtype=dtype)
+        # Bytes compare signbits too: -0.0 and 0.0 differ here.
+        assert out.data.dtype == dtype and out.data.tobytes() == want.tobytes()
+        for j, g in enumerate((1.0, -1.0, -0.0)):
+            (got,) = tape.nodes[0].bw(np.full(x.shape, g, dtype=dtype))
+            want = np.array([row[col + 1][j] for row in _KINK_ROWS], dtype=dtype)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes(), g
+            assert np.array_equal(np.signbit(got), np.signbit(want)), g
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [None, 0, 1, -1])
+    @pytest.mark.parametrize("op", ["reduce_sum", "reduce_mean"])
+    def test_reduction_gradient_is_the_broadcast_gradient(self, op, axis, dtype):
+        shape = (2, 3, 5)
+        rng = np.random.default_rng(7)
+        a = Tensor(rng.uniform(-1, 1, shape).astype(dtype), requires_grad=True)
+        with tn.record() as tape:
+            out = getattr(tn, op)(a, axis)
+        n = dtype(a.numel if axis is None else shape[axis])
+        if op == "reduce_mean":
+            assert out.data.tobytes() == (tn.reduce_sum(a, axis).data / n).tobytes()
+        g = np.asarray(rng.uniform(-1, 1, out.shape), dtype=dtype)
+        (got,) = tape.nodes[0].bw(g)
+        cell = g / n if op == "reduce_mean" else g
+        if axis is None:
+            want = np.full(shape, cell, dtype=dtype)
+        else:
+            want = np.repeat(np.expand_dims(cell, axis), shape[axis], axis=axis)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
     def test_grads_land_on_leaves_and_leave_produced_tensors(self):
         rng = np.random.default_rng(6)

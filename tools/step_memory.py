@@ -1,10 +1,14 @@
-"""Peak memory and time of one taped training step of one architecture.
+"""Peak memory and time of one taped training step of one architecture,
+and the time of one untaped forward.
 
 Builds ARCH at the default clip shape (35x64x64x1) with 4 classes and
 seeded weights (the frozen extractor for cnn_rnn_lstm, as ``signet train``
 builds it), then runs three taped steps on one seeded clip: forward,
 cross-entropy, backward. Prints ``ru_maxrss`` before the first step (base)
-and after the last (peak), and the fastest step:
+and after the last (peak), and the fastest step. Then it runs three
+untaped forwards of the same clip, the model work of ``signet grade``, and
+prints the fastest; they run after the peak is read, so they cannot raise
+it:
 
     python3 tools/step_memory.py cnn3d
     OPENBLAS_NUM_THREADS=1 python3 tools/step_memory.py cnn_lstm
@@ -57,8 +61,15 @@ def main(argv: list[str]) -> int:
         tape.backward(loss)
         times.append(time.perf_counter() - start)
         nodes = len(tape.nodes)
-    print(f"{args.arch}: base {base:.1f} MB, peak {_rss_mb():.1f} MB, "
-          f"step {min(times) * 1e3:.1f} ms (min of {STEPS}), {nodes} tape nodes")
+    peak = _rss_mb()
+    forwards = []
+    for _ in range(STEPS):
+        start = time.perf_counter()
+        models.forward(spec, params, clip)
+        forwards.append(time.perf_counter() - start)
+    print(f"{args.arch}: base {base:.1f} MB, peak {peak:.1f} MB, "
+          f"step {min(times) * 1e3:.1f} ms, untaped forward {min(forwards) * 1e3:.1f} ms "
+          f"(min of {STEPS} each), {nodes} tape nodes")
     return 0
 
 
