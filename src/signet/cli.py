@@ -52,16 +52,13 @@ def band_for_grade(grade: int) -> str:
     return BAND_KEEP_PRACTICING
 
 
-def _ranked(probs: np.ndarray) -> list[int]:
-    """Class indices sorted by descending probability, ties by lowest index."""
-    p = np.asarray(probs, dtype=np.float64)
-    return sorted(range(p.size), key=lambda i: (-p[i], i))
-
-
 def grade_from_probabilities(probs, class_names: list[str]) -> GradeResult:
-    """Grade = trunc(max probability * 100); bands at >= 70 and >= 50."""
+    """Grade = trunc(max probability * 100); bands at >= 70 and >= 50.
+
+    Tied top probabilities go to the lowest class index, as ``np.argmax`` gives.
+    """
     p = np.asarray(probs, dtype=np.float64)
-    top = _ranked(p)[0]
+    top = int(np.argmax(p))
     grade = int(p[top] * 100.0)
     return GradeResult(class_names[top], grade, band_for_grade(grade))
 
@@ -179,7 +176,7 @@ def cmd_evaluate(args) -> int:
     for sample in manifest.eval:
         probs = models.predict_probs(spec, params, sample.frames)
         truth.append(sample.label_index)
-        pred.append(int(_ranked(probs)[0]))
+        pred.append(int(np.argmax(probs)))
     cm = metrics.confusion_matrix(truth, pred, class_names)
     report_text = metrics.render_report(metrics.classification_report(cm))
     print(report_text, end="")
@@ -200,8 +197,7 @@ def _load_clip_probs(model_path: str, clip_dir: str):
 
 def cmd_predict(args) -> int:
     probs, class_names = _load_clip_probs(args.model, args.clip)
-    order = _ranked(probs)
-    for index in order[: args.top]:
+    for index in np.argsort(-probs, kind="stable")[: args.top]:
         print(f"{class_names[index]} {int(float(probs[index]) * 100.0)}%")
     return 0
 

@@ -211,6 +211,8 @@ def normalize_sequence(frames, length: int) -> np.ndarray:
     t = len(frames)
     if t == 0:
         raise DatasetError("empty clip")
+    if length < 1:
+        raise DatasetError(f"sequence length must be at least 1, got {length}")
     if t == length:
         picked = frames
     elif t > length:
@@ -228,14 +230,22 @@ _FRAME_SUFFIXES = (".pgm", ".ppm")
 _TRAIN_SHARE = 0.8
 
 
+def _list_dir(path: str, what: str, suffixes: tuple | None = None) -> list[str]:
+    """Sorted names of the subdirectories of ``path``, or of its entries that
+    end in one of ``suffixes`` in any case. Raises DatasetError naming
+    ``path`` if it cannot be listed."""
+    try:
+        names = os.listdir(path)
+    except OSError as exc:
+        raise DatasetError(f"cannot list {what} {path}: {exc}") from exc
+    if suffixes is None:
+        return sorted(n for n in names if os.path.isdir(os.path.join(path, n)))
+    return sorted(n for n in names if n.lower().endswith(suffixes))
+
+
 def load_clip(clip_dir: str, cfg: PreprocessConfig) -> np.ndarray:
     """Decode and preprocess one clip directory to (L, H, W, C) float32."""
-    try:
-        names = sorted(
-            n for n in os.listdir(clip_dir) if n.lower().endswith(_FRAME_SUFFIXES)
-        )
-    except OSError as exc:
-        raise DatasetError(f"cannot list clip directory {clip_dir}: {exc}") from exc
+    names = _list_dir(clip_dir, "clip directory", _FRAME_SUFFIXES)
     if not names:
         raise DatasetError(f"clip {clip_dir} has no decodable frames")
     frames = []
@@ -261,21 +271,14 @@ def load_dataset(root_dir: str, cfg: PreprocessConfig, seed: int = 0) -> Dataset
     folder names, sorted; results are deterministic for fixed (contents,
     seed).
     """
-    try:
-        class_names = sorted(
-            n for n in os.listdir(root_dir) if os.path.isdir(os.path.join(root_dir, n))
-        )
-    except OSError as exc:
-        raise DatasetError(f"cannot list dataset root {root_dir}: {exc}") from exc
+    class_names = _list_dir(root_dir, "dataset root")
     if not class_names:
         raise DatasetError(f"no class folders under {root_dir}")
     manifest = DatasetManifest(class_names=class_names, seed=int(seed))
     rng = Rng(seed)
     for label_index, label in enumerate(class_names):
         class_dir = os.path.join(root_dir, label)
-        clip_ids = sorted(
-            n for n in os.listdir(class_dir) if os.path.isdir(os.path.join(class_dir, n))
-        )
+        clip_ids = _list_dir(class_dir, "class folder")
         if not clip_ids:
             raise DatasetError(f"class folder {class_dir} has no clips")
         rng.shuffle(clip_ids)

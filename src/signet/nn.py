@@ -17,8 +17,12 @@ sees every call.
 
 Every per-time-step loop is ``_scan``: it slices the leading axis of a
 sequence and feeds each slice, with the carried state, to a step function.
-simple_rnn, lstm and convlstm2d are a shape check, a zero initial state and
-a step; time_distributed is a stateless step. ``_packed_shapes`` states the
+A step returns the new state, a tuple whose first element is that step's
+output: (h,) for simple_rnn, (h, c) for lstm and convlstm2d, and
+(frame_out,) for time_distributed, whose step ignores the state it gets.
+``_scan`` stacks the first elements, or returns the last one. simple_rnn
+and lstm share one matmul recurrence and differ only in the cell and the
+gate count; convlstm2d has its own conv step. ``_packed_shapes`` states the
 packed recurrent layout, kernel (k..., Cin, gates*U), recurrent kernel
 (k..., U, gates*U) and bias (gates*U,), for both the layer functions' check
 and the registry's trace.
@@ -153,18 +157,19 @@ def dense(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     return tn.reshape(out, lead + (k_out,))
 
 
-def _scan(seq: Tensor, step: Callable, state, return_sequences: bool = True) -> Tensor:
+def _scan(seq: Tensor, step: Callable, state: tuple, return_sequences: bool = True) -> Tensor:
     """Run ``step`` over the leading (time) axis of ``seq``.
 
-    For each t, ``out, state = step(x_t, state)`` where ``x_t`` is the
-    (1, ...) slice at t. Returns the outputs stacked on a new leading axis,
-    or only the last one.
+    For each t, ``state = step(x_t, state)`` where ``x_t`` is the (1, ...)
+    slice at t. The state is a tuple whose first element is the step's
+    output. Returns the outputs stacked on a new leading axis, or only the
+    last one.
     """
     outputs = []
     for t in range(seq.shape[0]):
-        out, state = step(tn.narrow(seq, 0, t, 1), state)
-        outputs.append(out)
-    return tn.stack(outputs, axis=0) if return_sequences else outputs[-1]
+        state = step(tn.narrow(seq, 0, t, 1), state)
+        outputs.append(state[0])
+    return tn.stack(outputs, axis=0) if return_sequences else state[0]
 
 
 def _packed_shapes(k_sp: tuple, cin: int, units: int, gates: int) -> tuple:
@@ -184,16 +189,36 @@ def _check_recurrent(op, seq, kernel, recurrent_kernel, bias, gates: int, nd: in
     return units
 
 
-def _lstm_cell(gates: Tensor, c: Tensor, units: int) -> tuple[Tensor, Tensor]:
-    """New (h, c) from gate pre-activations packed (i, f, g, o) on the last axis.
+def _lstm_cell(gates: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
+    """New state (h, c) from gate pre-activations packed (i, f, g, o) on the last axis.
 
     c' = f*c + i*g and h' = o*tanh(c'), with sigmoid i, f, o and tanh g.
     """
-    ax = gates.data.ndim - 1
-    gi, gf, gg, go = (tn.narrow(gates, ax, k * units, units) for k in range(4))
+    units = gates.shape[-1] // 4
+    gi, gf, gg, go = (tn.narrow(gates, -1, k * units, units) for k in range(4))
     i, f, g, o = tn.sigmoid(gi), tn.sigmoid(gf), tn.tanh(gg), tn.sigmoid(go)
     c = tn.add(tn.mul(f, c), tn.mul(i, g))
     return tn.mul(o, tn.tanh(c)), c
+
+
+def _recurrence(op, gates, cell, seq, kernel, recurrent_kernel, bias, return_sequences):
+    """The recurrence of simple_rnn and lstm over a (T, D) sequence.
+
+    Each step hands the pre-activation x_t . Wx + h . Wh + b, with h the
+    state's first element, and the rest of the state to ``cell``, which
+    returns the new state. The state starts at zeros, (h,) for one gate and
+    (h, c) for four. The (1, U) outputs are reshaped once, after the scan.
+    """
+    units = _check_recurrent(op, seq, kernel, recurrent_kernel, bias, gates)
+    brow = tn.reshape(bias, (1, bias.numel))
+
+    def step(x_t, state):
+        pre = tn.add(tn.add(tn.matmul(x_t, kernel), tn.matmul(state[0], recurrent_kernel)), brow)
+        return cell(pre, *state[1:])
+
+    zero = Tensor(np.zeros((1, units), dtype=seq.data.dtype))
+    out = _scan(seq, step, (zero,) if gates == 1 else (zero, zero), return_sequences)
+    return tn.reshape(out, out.shape[:-2] + (units,))
 
 
 def simple_rnn(
@@ -204,14 +229,8 @@ def simple_rnn(
     return_sequences: bool = False,
 ) -> Tensor:
     """h_t = tanh(x_t . Wx + h_{t-1} . Wh + b) from a zero initial state."""
-    units = _check_recurrent("simple_rnn", seq, kernel, recurrent_kernel, bias, gates=1)
-    brow = tn.reshape(bias, (1, bias.numel))
-
-    def step(x_t, h):
-        h = tn.tanh(tn.add(tn.add(tn.matmul(x_t, kernel), tn.matmul(h, recurrent_kernel)), brow))
-        return tn.reshape(h, (units,)), h
-
-    return _scan(seq, step, Tensor(np.zeros((1, units), dtype=seq.data.dtype)), return_sequences)
+    return _recurrence("simple_rnn", 1, lambda pre: (tn.tanh(pre),),
+                       seq, kernel, recurrent_kernel, bias, return_sequences)
 
 
 def lstm(
@@ -226,16 +245,7 @@ def lstm(
     Gates i, f, g, o come from one packed (D, 4U) kernel and (U, 4U)
     recurrent kernel; ``_lstm_cell`` applies them.
     """
-    units = _check_recurrent("lstm", seq, kernel, recurrent_kernel, bias, gates=4)
-    brow = tn.reshape(bias, (1, bias.numel))
-
-    def step(x_t, state):
-        gates = tn.add(tn.add(tn.matmul(x_t, kernel), tn.matmul(state[0], recurrent_kernel)), brow)
-        h, c = _lstm_cell(gates, state[1], units)
-        return tn.reshape(h, (units,)), (h, c)
-
-    zero = Tensor(np.zeros((1, units), dtype=seq.data.dtype))
-    return _scan(seq, step, (zero, zero), return_sequences)
+    return _recurrence("lstm", 4, _lstm_cell, seq, kernel, recurrent_kernel, bias, return_sequences)
 
 
 def convlstm2d(
@@ -249,6 +259,7 @@ def convlstm2d(
 
     Input is (T, H, W, Cin); kernels are (kH, kW, Cin, 4U) and
     (kH, kW, U, 4U). Same-padding, stride 1, so spatial extents persist.
+    The bias is added inside the input convolution.
     """
     units = _check_recurrent("convlstm2d", seq, kernel, recurrent_kernel, bias, gates=4, nd=2)
 
@@ -257,8 +268,7 @@ def convlstm2d(
             tn.conv2d(tn.reshape(x_t, seq.shape[1:]), kernel, bias, padding="same", stride=1),
             tn.conv2d(state[0], recurrent_kernel, None, padding="same", stride=1),
         )
-        h, c = _lstm_cell(gates, state[1], units)
-        return h, (h, c)
+        return _lstm_cell(gates, state[1])
 
     zero = Tensor(np.zeros(seq.shape[1:3] + (units,), dtype=seq.data.dtype))
     return _scan(seq, step, (zero, zero), return_sequences)
@@ -270,7 +280,7 @@ def time_distributed(apply_frame, seq: Tensor) -> Tensor:
     ``apply_frame`` must close over a single shared parameter set, so the
     gradient w.r.t. those parameters is the sum over frames.
     """
-    return _scan(seq, lambda x_t, _: (apply_frame(tn.reshape(x_t, seq.shape[1:])), None), None)
+    return _scan(seq, lambda x_t, _: (apply_frame(tn.reshape(x_t, seq.shape[1:])),), ())
 
 
 # ---------------------------------------------------------------------------

@@ -147,8 +147,10 @@ def adam_step(params: ParameterStore, state: AdamState, lr: float) -> None:
     Frozen parameters are skipped even when they carry gradients. Raises
     ``TrainingError`` if a trainable parameter has no gradient, and
     ``NonFiniteError`` naming the parameter if its update is non-finite, as
-    after a gradient that overflowed in backward.
+    after a gradient that overflowed in backward. The arithmetic runs in the
+    parameters' dtype whatever the numeric type of ``lr``.
     """
+    lr = float(lr)
     state.t += 1
     b1, b2, eps = AdamState.BETA1, AdamState.BETA2, AdamState.EPS
     bc1 = 1.0 - b1**state.t

@@ -47,6 +47,13 @@ class TestGrading:
         result = grade_from_probabilities([0.4, 0.4, 0.2], ["a", "b", "c"])
         assert result.predicted_label == "a"
 
+    def test_predict_lists_tied_classes_by_lower_index(self, monkeypatch, capsys):
+        probs = np.array([0.2, 0.3, 0.2, 0.3], dtype=np.float32)
+        monkeypatch.setattr(cli, "_load_clip_probs", lambda model, clip: (probs, list("abcd")))
+        rc = cli.main(["predict", "--model", "m.slm", "--clip", "clip", "--top", "4"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == ["b 30%", "d 30%", "a 20%", "c 20%"]
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory, tiny_corpus):

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +118,11 @@ class TestNormalizeSequence:
         with pytest.raises(DatasetError):
             data.normalize_sequence([], 35)
 
+    @pytest.mark.parametrize("length", [0, -1])
+    def test_length_below_one_rejected(self, length):
+        with pytest.raises(DatasetError, match="at least 1"):
+            data.normalize_sequence(self._frames(3), length)
+
 
 class TestGenerateSynthetic:
     def test_counts_and_layout(self, tmp_path):
@@ -195,6 +201,21 @@ class TestLoadDataset:
         (root / "empty_class").mkdir(parents=True)
         with pytest.raises(DatasetError):
             data.load_dataset(str(root), PreprocessConfig(8, 8, 1, 4), seed=0)
+
+    def test_unlistable_class_folder_raises_dataset_error(self, tmp_path, monkeypatch):
+        root = tmp_path / "ds"
+        data.generate_synthetic(str(root), 2, 2, frames=2, size=(8, 8), seed=1)
+        bad = str(root / sorted(os.listdir(root))[1])
+        listdir = os.listdir
+
+        def failing_listdir(path):
+            if str(path) == bad:
+                raise PermissionError(13, "Permission denied", path)
+            return listdir(path)
+
+        monkeypatch.setattr(os, "listdir", failing_listdir)
+        with pytest.raises(DatasetError, match=f"cannot list class folder {re.escape(bad)}"):
+            data.load_dataset(str(root), PreprocessConfig(8, 8, 1, 2), seed=0)
 
     def test_frame_order_is_lexicographic_not_write_order(self, tmp_path):
         clip = tmp_path / "c" / "clip_0"

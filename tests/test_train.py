@@ -112,6 +112,21 @@ class TestAdam:
         train.adam_step(store, AdamState(), lr=0.1)
         assert np.array_equal(store["w"].data, np.ones(3))
 
+    @staticmethod
+    def _random_step(lr):
+        rng = np.random.default_rng(1)
+        store = ParameterStore()
+        store.add("p", t32(rng.standard_normal(1000)))
+        store["p"].grad = rng.standard_normal(1000).astype(np.float32)
+        train.adam_step(store, AdamState(), lr=lr)
+        return store["p"].data
+
+    def test_step_bits_do_not_depend_on_the_learning_rates_type(self):
+        assert self._random_step(np.float64(1e-3)).tobytes() == self._random_step(1e-3).tobytes()
+        # A float32 rate is another number, and keeps that number's bits.
+        lr32 = np.float32(1e-3)
+        assert self._random_step(lr32).tobytes() == self._random_step(float(lr32)).tobytes()
+
     def test_missing_gradient_rejected(self):
         store = self._store(1.0)
         with pytest.raises(TrainingError):
