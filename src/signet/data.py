@@ -121,15 +121,19 @@ def _read_header_tokens(data: bytes, count: int, start: int):
 
 
 def decode_netpbm(data: bytes) -> np.ndarray:
-    """Decode binary PGM/PPM bytes to a uint8 array (H, W, 1) or (H, W, 3)."""
-    if len(data) < 2 or data[:2] not in (b"P5", b"P6"):
-        raise DatasetError(f"bad netpbm magic {data[:2]!r}")
+    """Decode binary PGM/PPM bytes to a uint8 array (H, W, 1) or (H, W, 3).
+
+    The magic must be followed by whitespace or a comment, and the header
+    numbers must be plain ASCII digits.
+    """
+    after = data[2:3]
+    if data[:2] not in (b"P5", b"P6") or not (after.isspace() or after == b"#"):
+        raise DatasetError(f"bad netpbm magic {data[:3]!r}")
     channels = 1 if data[:2] == b"P5" else 3
     tokens, offset = _read_header_tokens(data, 3, 2)
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise DatasetError(f"bad netpbm header tokens {tokens}") from exc
+    if not all(t.isdigit() for t in tokens):
+        raise DatasetError(f"bad netpbm header tokens {tokens}")
+    width, height, maxval = (int(t) for t in tokens)
     if width < 1 or height < 1:
         raise DatasetError(f"bad netpbm extents {width}x{height}")
     if maxval != 255:

@@ -7,6 +7,7 @@ percentages round half-up to integers.
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 from dataclasses import dataclass
@@ -131,7 +132,8 @@ def render_report(report: ClassificationReport) -> str:
 def render_matrix(cm: ConfusionMatrix) -> str:
     """CSV with a header row and column of class names; rows are true classes."""
     buf = io.StringIO()
-    buf.write("," + ",".join(cm.class_names) + "\n")
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(["", *cm.class_names])
     for name, row in zip(cm.class_names, cm.counts):
-        buf.write(name + "," + ",".join(str(int(v)) for v in row) + "\n")
+        out.writerow([name, *(int(v) for v in row)])
     return buf.getvalue()

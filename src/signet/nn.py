@@ -109,7 +109,7 @@ class ParameterStore:
     initialization draws and serialization. A parameter's trainable flag is
     its tensor's ``requires_grad``: ``add`` sets it and ``is_trainable``
     reads it, so frozen parameters are never recorded on a tape and never
-    receive gradients.
+    get an entry in a tape's ``grads``.
     """
 
     def __init__(self):
@@ -135,10 +135,6 @@ class ParameterStore:
 
     def is_trainable(self, name: str) -> bool:
         return self._params[name].requires_grad
-
-    def zero_grads(self) -> None:
-        for t in self._params.values():
-            t.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Values are row-major float32 arrays by default; building a graph from
 float64 tensors gives a high-precision mode used for gradient checking.
 Every kernel validates shapes up front and raises ``NonFiniteError`` if an
 output contains NaN/Inf, so bad values never propagate silently into
-training.
+training. Tensors hold no gradients: gradients land in ``tape.grads``, a
+dict the caller may pass to ``record`` so that several tapes fold into it.
 
 A forward computes only what its output needs. Its ``bw`` reads the inputs
 its tape node already holds, and what the forward built on the way, such as
@@ -270,9 +271,9 @@ _TAPE: contextvars.ContextVar["Tape | None"] = contextvars.ContextVar("tape", de
 
 
 class Tensor:
-    """Dense n-dimensional float array with an optional gradient buffer."""
+    """Dense n-dimensional float array; its gradient lives in a tape's ``grads``."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, _checked: bool = False):
         arr = np.asarray(data)
@@ -284,7 +285,6 @@ class Tensor:
             raise NonFiniteError("tensor initialized with non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = None
 
     @property
     def shape(self) -> tuple:
@@ -318,16 +318,20 @@ class Tape:
 
     Nodes are appended in execution order, which is a topological order by
     construction; ``backward`` walks them once, in reverse. Gradients land
-    on the leaves: the tensors no node on this tape produced, such as
-    parameters and clips. A tape runs backward at most once, since a second
-    pass would add into the leaves' gradients again. ``nodes`` stays
-    readable afterwards. Entering a tape makes it the active one in the
-    current thread only, so tapes opened in concurrent threads never record
-    each other's operations.
+    in ``grads``, a dict from tensor to array: the caller's, or a fresh one.
+    After the pass it holds the leaves only: the tensors no node on this
+    tape produced, such as parameters and clips. Tapes that share one dict
+    fold into it in the order their passes run, so a batch's gradient is
+    one sequential fold over its clips. A tape runs backward at most once,
+    since a second pass would add into the leaves' gradients again.
+    ``nodes`` stays readable afterwards. Entering a tape makes it the
+    active one in the current thread only, so tapes opened in concurrent
+    threads never record each other's operations.
     """
 
-    def __init__(self):
+    def __init__(self, grads: dict | None = None):
         self.nodes: list[_Node] = []
+        self.grads: dict[Tensor, np.ndarray] = {} if grads is None else grads
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -339,13 +343,14 @@ class Tape:
         return False
 
     def backward(self, loss: Tensor) -> None:
-        """Add the scalar loss's gradient into ``grad`` of every leaf it depends on.
+        """Add the scalar loss's gradient into ``grads`` for every leaf it depends on.
 
         A produced tensor's gradient is complete once the reverse walk
         reaches its producer, because every consumer comes later on the
-        tape. The walk hands it to the producer's ``bw`` and drops it, so
-        after the pass every produced tensor's ``grad`` is None. Each ``bw``
-        returns, per input, None or an array of that input's shape and dtype.
+        tape. The walk pops it from ``grads`` and hands it to the producer's
+        ``bw``. Each ``bw`` returns, per input, None or an array of that
+        input's shape and dtype; an input's first contribution is stored as
+        is and later ones are added to it.
         """
         if loss.numel != 1:
             raise TapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -354,20 +359,20 @@ class Tape:
         if self._spent:
             raise TapeError("backward already ran on this tape; record a new one")
         self._spent = True
-        loss.grad = np.ones_like(loss.data)
+        self.grads[loss] = np.ones_like(loss.data)
         with np.errstate(all="ignore"):
             for node in reversed(self.nodes):
-                gout, node.out.grad = node.out.grad, None
+                gout = self.grads.pop(node.out, None)
                 if gout is None:
                     continue
                 for t, g in zip(node.inputs, node.bw(gout)):
                     if g is not None:
-                        t.grad = g if t.grad is None else t.grad + g
+                        self.grads[t] = g if t not in self.grads else self.grads[t] + g
 
 
-def record() -> Tape:
-    """Open a fresh tape; use as ``with record() as tape:``."""
-    return Tape()
+def record(grads: dict | None = None) -> Tape:
+    """Open a fresh tape folding into ``grads``; use as ``with record() as tape:``."""
+    return Tape(grads)
 
 
 def _result(data: np.ndarray, inputs: tuple, bw, op: str) -> Tensor:
@@ -891,7 +896,7 @@ def grad_check(f, x: Tensor, step: float = 1e-3) -> float:
     if not isinstance(y, Tensor) or y.numel != 1:
         raise TapeError("grad_check needs a scalar-valued function")
     tape.backward(y)
-    analytic = probe.grad.reshape(-1)
+    analytic = tape.grads.get(probe, np.zeros_like(probe.data)).reshape(-1)
 
     flat = x.data.reshape(-1)
     worst = 0.0

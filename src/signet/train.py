@@ -141,14 +141,16 @@ def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(p.argmax(axis=1) == y.argmax(axis=1)))
 
 
-def adam_step(params: ParameterStore, state: AdamState, lr: float) -> None:
+def adam_step(params: ParameterStore, grads: dict, state: AdamState, lr: float) -> None:
     """One Adam update over the trainable parameters, in place.
 
-    Frozen parameters are skipped even when they carry gradients. Raises
-    ``TrainingError`` if a trainable parameter has no gradient, and
-    ``NonFiniteError`` naming the parameter if its update is non-finite, as
-    after a gradient that overflowed in backward. The arithmetic runs in the
-    parameters' dtype whatever the numeric type of ``lr``.
+    ``grads`` maps each parameter tensor to its gradient, as a tape's
+    ``grads`` does. Frozen parameters are skipped even when ``grads`` has
+    an entry for them. Raises ``TrainingError`` if a trainable parameter
+    has no gradient, and ``NonFiniteError`` naming the parameter if its
+    update is non-finite, as after a gradient that overflowed in backward.
+    The arithmetic runs in the parameters' dtype whatever the numeric type
+    of ``lr``.
     """
     lr = float(lr)
     state.t += 1
@@ -158,9 +160,9 @@ def adam_step(params: ParameterStore, state: AdamState, lr: float) -> None:
     for name, p in params.items():
         if not params.is_trainable(name):
             continue
-        if p.grad is None:
+        g = grads.get(p)
+        if g is None:
             raise TrainingError(f"trainable parameter {name!r} has no gradient")
-        g = p.grad
         m = state.m.get(name)
         if m is None:
             m = np.zeros_like(p.data)
@@ -245,16 +247,16 @@ def fit(spec: ModelSpec, manifest: DatasetManifest, cfg: TrainingConfig) -> tupl
         try:
             for start in range(0, len(pool), cfg.batch_size):
                 batch = pool[start : start + cfg.batch_size]
-                params.zero_grads()
+                grads = {}
                 inv = 1.0 / len(batch)
                 for sample in batch:
-                    with tn.record() as tape:
+                    with tn.record(grads) as tape:
                         loss, hit = _clip_loss(spec, params, sample, num_classes)
                         scaled = tn.scale(loss, inv)  # batch loss = mean over clips
                     tape.backward(scaled)
                     loss_sum += loss.item()
                     correct += hit
-                adam_step(params, state, cfg.learning_rate)
+                adam_step(params, grads, state, cfg.learning_rate)
             train_loss = loss_sum / len(pool)
             train_acc = correct / len(pool)
 

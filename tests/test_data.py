@@ -36,6 +36,16 @@ class TestDecodeNetpbm:
         with pytest.raises(DatasetError, match="magic"):
             data.decode_netpbm(b"P3\n1 1\n255\n0")
 
+    @pytest.mark.parametrize("raw", [
+        b"P5\n6_4 1\n255\n" + bytes(64),  # int() reads 6_4 as 64
+        b"P5\n+2 2\n255\n" + bytes(4),
+        b"P5\n2 2\n2_55\n" + bytes(4),
+        b"P52 2 255\n" + bytes(4),  # no whitespace after the magic
+    ], ids=["underscore_width", "plus_width", "underscore_maxval", "glued_magic"])
+    def test_non_netpbm_header_rejected(self, raw):
+        with pytest.raises(DatasetError):
+            data.decode_netpbm(raw)
+
     def test_wrong_maxval_rejected(self):
         with pytest.raises(DatasetError, match="maxval"):
             data.decode_netpbm(b"P5\n1 1\n65535\n\x00\x00")

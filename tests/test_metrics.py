@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -129,3 +132,12 @@ class TestRendering:
         cm = metrics.confusion_matrix([0, 0, 1, 1], [0, 1, 1, 1], ["left", "right"])
         text = metrics.render_matrix(cm)
         assert text.splitlines() == [",left,right", "left,1,1", "right,0,2"]
+
+    def test_matrix_csv_quotes_names(self):
+        names = ["a,b", 'say "hi"', "c"]
+        cm = metrics.confusion_matrix([0, 1, 2, 2], [0, 1, 2, 0], names)
+        rows = list(csv.reader(io.StringIO(metrics.render_matrix(cm))))
+        assert rows[0] == ["", *names]
+        assert [r[0] for r in rows[1:]] == names
+        assert all(len(r) == 4 for r in rows)
+        assert [[int(v) for v in r[1:]] for r in rows[1:]] == cm.counts.tolist()

@@ -162,13 +162,14 @@ class TestLoad:
         _, params, _, _ = modelio.load_model(path)
         monkeypatch.undo()
         assert views
+        grads = {}
         for name in params.names():
             data = params[name].data
             assert data.flags.writeable and data.flags.owndata, name
             assert not any(np.shares_memory(data, v) for v in views), name
-            params[name].grad = np.ones_like(data)
+            grads[params[name]] = np.ones_like(data)
         before = {name: params[name].data.copy() for name in params.names()}
-        train.adam_step(params, train.AdamState(), 1e-3)
+        train.adam_step(params, grads, train.AdamState(), 1e-3)
         for name in params.names():
             moved = not np.array_equal(params[name].data, before[name])
             assert moved == params.is_trainable(name), name

@@ -241,7 +241,7 @@ class TestGoldenDigests:
         grads = hashlib.sha256()
         for name, t in params.items():
             if params.is_trainable(name):
-                grads.update(t.grad.tobytes())
+                grads.update(tape.grads[t].tobytes())
         got = (
             hashlib.sha256(path.read_bytes()).hexdigest(),
             hashlib.sha256(probs.tobytes()).hexdigest(),

@@ -53,7 +53,6 @@ def main(argv: list[str]) -> int:
     base = _rss_mb()
     times = []
     for _ in range(STEPS):
-        params.zero_grads()
         start = time.perf_counter()
         with tn.record() as tape:
             probs = models.forward(spec, params, clip)
