@@ -94,7 +94,7 @@ class IncompleteParamsError(ModelFormatError):
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_CHUNK = 1 << 16
+_CHUNK = 1 << 18
 # _POWERS[i] = P^(_CHUNK - i) mod 2^64, so the last n entries are P^n ... P^1.
 _POWERS = np.multiply.accumulate(np.full(_CHUNK, _FNV_PRIME, dtype=np.uint64))[::-1].copy()
 
@@ -124,7 +124,7 @@ def _exclusive_prefix_xor(bits: np.ndarray, start: int) -> np.ndarray:
 def _fnv1a64(data) -> int:
     """64-bit FNV-1a of a bytes-like object, ``h = (h ^ b) * P mod 2^64`` per byte.
 
-    Computed 64 KiB at a time without a per-byte loop. The low byte ``l`` of
+    Computed 256 KiB at a time without a per-byte loop. The low byte ``l`` of
     the state follows ``l' = ((l ^ b) * 0xB3) mod 256``, so bit k of ``l'`` is
     bit k of ``l`` XOR bit k of ``((l mod 2^k) ^ b) * 0xB3``. Each bit plane
     of the low bytes, lowest first, is therefore one prefix XOR of flips the

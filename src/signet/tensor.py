@@ -29,7 +29,8 @@ Reproducibility rules, fixed for every kernel:
   output (every forward matmul of the builders), and over the (M, N)
   output, one in-place add per k-slice, when K is short (the weight
   gradients); both give the bits of the scalar loop.
-* convolutions accumulate in 64-bit precision and round once on output.
+* convolutions accumulate in 64-bit precision, in blocks of output rows,
+  and round once on output; a row's value does not depend on its block.
 * max pooling breaks ties toward the first cell in row-major scan order.
 * kernels never reassociate accumulations, so results are bit-identical
   from run to run for identical inputs.
@@ -767,8 +768,22 @@ def _scatter_windows(cols: np.ndarray, shape, strides) -> np.ndarray:
     return out
 
 
+# Float64 im2col elements in one block of conv forward rows. It sets only the
+# speed: every block size gives the same bits.
+_CONV_BLOCK_ELEMS = 1 << 15
+
+
 def _conv_nd(x: Tensor, kernel: Tensor, bias, padding, stride, ndim: int, op: str) -> Tensor:
-    """im2col + one 64-bit GEMM and bias add, rounded once to the working dtype.
+    """im2col, then a 64-bit GEMM and bias add per block of rows, rounded once
+    to the working dtype.
+
+    The working-dtype im2col ``cols``, with K = kernel taps x input channels
+    columns, is built whole, since backward reads it. Each block of
+    ``max(1, _CONV_BLOCK_ELEMS // K)`` rows is converted to float64 on its
+    own, so the float64 im2col never exists whole; a conv whose float64
+    im2col fits in one block runs as one GEMM. Every output is one float64
+    dot product over K of a row of ``cols`` with a kernel column, and BLAS
+    does not split K, so a row's value does not depend on its block.
 
     Backward contracts in the working dtype: gradient kernels only need
     run-to-run determinism, not the forward's 64-bit accumulation. Each
@@ -795,11 +810,16 @@ def _conv_nd(x: Tensor, kernel: Tensor, bias, padding, stride, ndim: int, op: st
     xp_shape = xp.shape
     cols = np.ascontiguousarray(_window_view(xp, k_sp, strides, outs)).reshape(-1, len(wmat))
     del xp  # the padded copy dies before the GEMM; backward needs only its extents
+    w64 = wmat.astype(np.float64)
+    out = np.empty((len(cols), cout), dtype=x.data.dtype)
+    step = max(1, _CONV_BLOCK_ELEMS // len(wmat))
     with np.errstate(all="ignore"):
-        out = cols.astype(np.float64) @ wmat.astype(np.float64)
-        if bias is not None:
-            out += bias.data
-        out = out.reshape(outs + (cout,)).astype(x.data.dtype)
+        for lo in range(0, len(cols), step):
+            block = cols[lo : lo + step].astype(np.float64) @ w64
+            if bias is not None:
+                block += bias.data
+            out[lo : lo + step] = block
+    out = out.reshape(outs + (cout,))
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
 
     def bw(g):

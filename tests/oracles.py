@@ -93,6 +93,27 @@ def conv3d_loop(x, w, b=None, padding="valid", stride=1):
     return out
 
 
+def conv_whole_matrix(x, w, b=None, padding="valid", stride=1):
+    """Conv forward as one whole-matrix product: the full im2col in float64,
+    one GEMM with the float64 kernel, the bias added in float64, and one
+    rounding to x's dtype. Any number of spatial dims; x is (spatial..., Cin)
+    and w is (k..., Cin, Cout)."""
+    nd = w.ndim - 2
+    if isinstance(stride, int):
+        stride = (stride,) * nd
+    pads = [_pad_amounts(x.shape[i], w.shape[i], stride[i], padding) for i in range(nd)]
+    xp = np.pad(x, pads + [(0, 0)])
+    # (out..., Cin, k...) for stride 1, subsampled, then Cin moved last.
+    win = np.lib.stride_tricks.sliding_window_view(xp, w.shape[:nd], axis=tuple(range(nd)))
+    win = np.moveaxis(win[tuple(slice(None, None, s) for s in stride)], nd, -1)
+    outs = win.shape[:nd]
+    cols = win.reshape(-1, math.prod(w.shape[:-1])).astype(np.float64)
+    out = cols @ w.reshape(-1, w.shape[-1]).astype(np.float64)
+    if b is not None:
+        out += b
+    return out.reshape(outs + (w.shape[-1],)).astype(x.dtype)
+
+
 def maxpool_loop(x, window, stride=None):
     """Brute-force windowed scan over any number of spatial dims."""
     nd = len(window)

@@ -1,6 +1,8 @@
 import hashlib
 import inspect
+import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -396,6 +398,48 @@ class TestConv:
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
             tn.conv2d(t32(np.ones((4, 4, 2))), t32(np.ones((3, 3, 3, 1))))
+
+
+class TestBlockedConv:
+    """The conv forward in row blocks is the whole-matrix forward, byte for byte."""
+
+    @pytest.mark.parametrize("budget", ["one", "k_minus_1", "short_last", "whole"])
+    @pytest.mark.parametrize("bias", [False, True], ids=["no_bias", "bias"])
+    @pytest.mark.parametrize("padding,stride", [("valid", 1), ("same", 1), ("valid", 2), ("same", 2)])
+    @pytest.mark.parametrize("op,x_shape,k_shape", [
+        (tn.conv2d, (9, 7, 3), (3, 3, 3, 4)),
+        (tn.conv3d, (5, 6, 7, 2), (3, 3, 3, 2, 3)),
+    ], ids=["conv2d", "conv3d"])
+    def test_matches_whole_matrix(
+        self, monkeypatch, op, x_shape, k_shape, padding, stride, bias, budget
+    ):
+        rng = np.random.default_rng(11)
+        x = rng.uniform(-1, 1, x_shape).astype(np.float32)
+        k = rng.uniform(-1, 1, k_shape).astype(np.float32)
+        b = rng.uniform(-1, 1, k_shape[-1]).astype(np.float32) if bias else None
+        exp = oracles.conv_whole_matrix(x, k, b, padding, stride)
+        rows, kdim = exp.size // k_shape[-1], math.prod(k_shape[:-1])
+        short = next(r for r in range(2, rows) if rows % r)  # rows per block, last one short
+        elems = {"one": 1, "k_minus_1": kdim - 1, "short_last": short * kdim, "whole": 1 << 20}
+        monkeypatch.setattr(tn, "_CONV_BLOCK_ELEMS", elems[budget])
+        got = op(t32(x), t32(k), None if b is None else t32(b), padding=padding, stride=stride)
+        assert got.data.dtype == exp.dtype and got.shape == exp.shape
+        assert got.data.tobytes() == exp.tobytes()
+
+    def test_forward_never_holds_a_whole_float64_im2col(self):
+        # cnn3d's second conv: its float32 im2col is 30.97 MB, a float64 copy
+        # would double that. tracemalloc counts numpy's buffers exactly.
+        rng = np.random.default_rng(12)
+        x = t32(rng.uniform(-1, 1, (35, 32, 32, 8)))
+        k = t32(rng.uniform(-1, 1, (3, 3, 3, 8, 16)))
+        cols_bytes = 35 * 32 * 32 * (27 * 8) * 4
+        tracemalloc.start()
+        try:
+            tn.conv3d(x, k, padding="same")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * cols_bytes, peak / cols_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize("argv, expect", [
     (["tools/step_memory.py", "cnn_td"], "tape nodes"),
+    (["tools/step_memory.py", "cnn_td"], "traced peak step"),
     (["tools/code_lines.py"], "total"),
-], ids=["step_memory", "code_lines"])
+], ids=["step_memory", "step_memory_traced", "code_lines"])
 def test_tool_runs(argv, expect):
     proc = subprocess.run(
         [sys.executable, *argv],

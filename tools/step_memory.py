@@ -8,7 +8,9 @@ cross-entropy, backward. Prints ``ru_maxrss`` before the first step (base)
 and after the last (peak), and the fastest step. Then it runs three
 untaped forwards of the same clip, the model work of ``signet grade``, and
 prints the fastest; they run after the peak is read, so they cannot raise
-it:
+it. Last, one more step and one more forward run under ``tracemalloc``,
+which counts numpy's buffers exactly, and their traced peaks are printed in
+bytes:
 
     python3 tools/step_memory.py cnn3d
     OPENBLAS_NUM_THREADS=1 python3 tools/step_memory.py cnn_lstm
@@ -23,6 +25,7 @@ import argparse
 import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -50,25 +53,43 @@ def main(argv: list[str]) -> int:
     shape = spec.input_shape
     clip = Tensor(Rng(3).uniforms(int(np.prod(shape))).astype(np.float32).reshape(shape))
     truth = np.eye(NUM_CLASSES, dtype=np.float32)[[1]]
-    base = _rss_mb()
-    times = []
-    for _ in range(STEPS):
-        start = time.perf_counter()
+
+    def step() -> int:
         with tn.record() as tape:
             probs = models.forward(spec, params, clip)
             loss = train.categorical_crossentropy(tn.reshape(probs, (1, NUM_CLASSES)), truth)
         tape.backward(loss)
-        times.append(time.perf_counter() - start)
-        nodes = len(tape.nodes)
-    peak = _rss_mb()
-    forwards = []
-    for _ in range(STEPS):
-        start = time.perf_counter()
+        return len(tape.nodes)
+
+    def forward() -> None:
         models.forward(spec, params, clip)
-        forwards.append(time.perf_counter() - start)
+
+    def fastest(run) -> float:
+        times = []
+        for _ in range(STEPS):
+            start = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    def traced(run):
+        """run's result and the traced peak of its allocations, in bytes."""
+        tracemalloc.start()
+        try:
+            return run(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    base = _rss_mb()
+    step_s = fastest(step)
+    peak = _rss_mb()
+    forward_s = fastest(forward)
+    nodes, step_bytes = traced(step)
+    _, forward_bytes = traced(forward)
     print(f"{args.arch}: base {base:.1f} MB, peak {peak:.1f} MB, "
-          f"step {min(times) * 1e3:.1f} ms, untaped forward {min(forwards) * 1e3:.1f} ms "
-          f"(min of {STEPS} each), {nodes} tape nodes")
+          f"step {step_s * 1e3:.1f} ms, untaped forward {forward_s * 1e3:.1f} ms "
+          f"(min of {STEPS} each), {nodes} tape nodes, "
+          f"traced peak step {step_bytes} B, forward {forward_bytes} B")
     return 0
 
 
