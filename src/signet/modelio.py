@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import re
 import secrets
@@ -192,7 +193,7 @@ def _header(
     table = []
     offset = 0
     for plan in plans:
-        length = 4 * int(np.prod(plan.shape, dtype=np.int64))
+        length = 4 * math.prod(plan.shape)
         table.append({"name": plan.name, "shape": list(plan.shape), "offset": offset,
                       "length": length})
         offset = _align8(offset + length)

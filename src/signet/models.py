@@ -17,6 +17,7 @@ the largest parameter count of the four at the default input shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,7 +218,7 @@ def param_count(spec: ModelSpec, trainable_only: bool = False) -> int:
     """Total parameter scalars, optionally restricted to trainable ones."""
     _, plans = nn.trace_layers(spec.layers, spec.input_shape)
     return sum(
-        int(np.prod(p.shape, dtype=np.int64))
+        math.prod(p.shape)
         for p in plans
         if not trainable_only or p.trainable
     )

@@ -148,7 +148,7 @@ def dense(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
     if x.shape[-1] != k_in:
         raise ShapeError(f"dense: trailing extent {x.shape[-1]} != kernel rows {k_in}")
     lead = x.shape[:-1]
-    flat = tn.reshape(x, (int(np.prod(lead, dtype=np.int64)), k_in))
+    flat = tn.reshape(x, (math.prod(lead), k_in))
     out = tn.add(tn.matmul(flat, kernel), tn.reshape(bias, (1, k_out)))
     return tn.reshape(out, lead + (k_out,))
 
@@ -165,7 +165,7 @@ def _scan(seq: Tensor, step: Callable, state: tuple, return_sequences: bool = Tr
     for t in range(seq.shape[0]):
         state = step(tn.narrow(seq, 0, t, 1), state)
         outputs.append(state[0])
-    return tn.stack(outputs, axis=0) if return_sequences else state[0]
+    return tn.stack(outputs) if return_sequences else state[0]
 
 
 def _packed_shapes(k_sp: tuple, cin: int, units: int, gates: int) -> tuple:
@@ -358,7 +358,7 @@ def _maxpool(nd: int) -> _Kind:
 
     def trace(cfg, shape):
         _check_rank(cfg, shape, nd + 1)
-        _, outs = tn._pool_geometry(shape[:-1], cfg.kernel_size, None, cfg.kind)
+        outs = tn._pool_geometry(shape[:-1], cfg.kernel_size, cfg.kind)
         return outs + shape[-1:], []
 
     def apply(cfg, x, *_):
@@ -425,7 +425,7 @@ _KINDS: dict[str, _Kind] = {
     "softmax": _Kind(lambda cfg, x, *_: tn.softmax(x)),
     "flatten": _Kind(
         lambda cfg, x, *_: tn.reshape(x, (x.numel,)),
-        lambda cfg, shape: ((int(np.prod(shape, dtype=np.int64)),), []),
+        lambda cfg, shape: ((math.prod(shape),), []),
     ),
     "conv2d": _conv(2),
     "conv3d": _conv(3),
@@ -472,7 +472,7 @@ def init_params(layers: list[LayerConfig], input_shape: tuple, rng: Rng) -> Para
     for plan in plans:
         if plan.init == "glorot":
             *window, cin, cout = plan.shape
-            rf = int(np.prod(window, dtype=np.int64))
+            rf = math.prod(window)
             limit = math.sqrt(6.0 / (rf * cin + rf * cout))
             values = (rng.uniforms(rf * cin * cout) * 2.0 - 1.0) * limit
             data = values.astype(np.float32).reshape(plan.shape)

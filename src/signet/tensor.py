@@ -41,6 +41,7 @@ from __future__ import annotations
 import contextvars
 import functools
 import itertools
+import math
 import operator
 
 import numpy as np
@@ -521,10 +522,10 @@ def tanh(a: Tensor) -> Tensor:
     return _result(out, (a,), bw, "tanh")
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Shift-stabilized softmax along ``axis``."""
+def softmax(a: Tensor) -> Tensor:
+    """Shift-stabilized softmax along the last axis."""
     x = a.data
-    axis = _axis("softmax", axis, x.ndim)
+    axis = _axis("softmax", -1, x.ndim)
     with np.errstate(over="ignore"):
         shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -545,7 +546,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.numel:
+    if math.prod(shape) != a.numel:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
     ash = a.shape
 
@@ -574,21 +575,20 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _result(a.data[index].copy(), (a,), bw, "narrow")
 
 
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
+def stack(tensors: list[Tensor]) -> Tensor:
+    """Equal-shaped tensors stacked on a new leading axis."""
     if not tensors:
         raise ShapeError("stack of zero tensors")
     _same_dtype(*tensors)
     base = tensors[0].shape
-    axis = _axis("stack", axis, len(base) + 1)
     for t in tensors[1:]:
         if t.shape != base:
             raise ShapeError(f"stack: mismatched shapes {base} vs {t.shape}")
-    out = np.stack([t.data for t in tensors], axis=axis)
+    out = np.stack([t.data for t in tensors])
     needs = [t.requires_grad for t in tensors]
 
     def bw(g):
-        parts = np.moveaxis(g, axis, 0)
-        return tuple(parts[i] if needs[i] else None for i in range(len(tensors)))
+        return tuple(g[i] if needs[i] else None for i in range(len(tensors)))
 
     return _result(out, tuple(tensors), bw, "stack")
 
@@ -739,33 +739,44 @@ def _conv_geometry(in_sp, k_sp, strides, padding):
     return tuple(pads), tuple(outs)
 
 
-def _window_view(xp: np.ndarray, k_sp, strides, outs) -> np.ndarray:
-    """Strided view (out..., k..., C) over the padded input."""
-    n = len(k_sp)
-    shape = tuple(outs) + tuple(k_sp) + (xp.shape[-1],)
-    st = xp.strides
-    strides_full = tuple(st[i] * strides[i] for i in range(n)) + st[:n] + (st[-1],)
-    return np.lib.stride_tricks.as_strided(xp, shape=shape, strides=strides_full)
+def _im2col(x: np.ndarray, k_sp, strides, padding):
+    """The im2col of ``x`` (spatial..., C) and its geometry: (cols, pads, outs).
 
-
-def _scatter_windows(cols: np.ndarray, shape, strides) -> np.ndarray:
-    """Adjoint of ``_window_view``: sum window cells (out..., k..., C) back
-    onto a zero array of ``shape``.
-
-    The loop runs over kernel offsets in ascending row-major order. For a
-    fixed offset the strided destination cells are disjoint, so each ``+=``
-    is overlap-free and the result is deterministic; a cell covered by
-    several windows receives their values in offset order.
+    ``cols`` is a contiguous (prod(outs), prod(k_sp) * C) array with one row
+    per window position, in row-major order, holding the window's cells in
+    row-major (k..., C) order. ``x`` is zero-padded first only when some pad
+    is nonzero.
     """
-    n = len(strides)
-    outs, k_sp = cols.shape[:n], cols.shape[n : 2 * n]
-    out = np.zeros(shape, dtype=cols.dtype)
+    n = len(k_sp)
+    pads, outs = _conv_geometry(x.shape[:n], k_sp, strides, padding)
+    if any(lo or hi for lo, hi in pads):
+        x = np.pad(x, pads + ((0, 0),))
+    st = x.strides
+    view = np.lib.stride_tricks.as_strided(
+        x, outs + k_sp + x.shape[-1:],
+        tuple(st[i] * strides[i] for i in range(n)) + st[:n] + st[-1:])
+    return np.ascontiguousarray(view).reshape(math.prod(outs), -1), pads, outs
+
+
+def _col2im(cols: np.ndarray, shape, k_sp, strides, pads, outs) -> np.ndarray:
+    """Adjoint of ``_im2col``: sum each row's window cells back onto a zero
+    array of the input's ``shape``.
+
+    The sum runs on the padded input, which is then cut back to ``shape``
+    (a copy only when something was padded). The loop runs over kernel
+    offsets in ascending row-major order. For a fixed offset the strided
+    destination cells are disjoint, so each ``+=`` is overlap-free and the
+    result is deterministic; a cell covered by several windows receives
+    their values in offset order.
+    """
+    n = len(k_sp)
+    cells = cols.reshape(outs + k_sp + shape[n:])
+    out = np.zeros(tuple(e + lo + hi for e, (lo, hi) in zip(shape, pads)) + shape[n:],
+                   dtype=cols.dtype)
     for offset in itertools.product(*(range(k) for k in k_sp)):
-        dst = tuple(
-            slice(offset[i], offset[i] + outs[i] * strides[i], strides[i]) for i in range(n)
-        )
-        out[dst] += cols[(slice(None),) * n + offset]
-    return out
+        dst = tuple(slice(o, o + e * s, s) for o, e, s in zip(offset, outs, strides))
+        out[dst] += cells[(slice(None),) * n + offset]
+    return np.ascontiguousarray(out[tuple(slice(lo, lo + e) for e, (lo, _) in zip(shape, pads))])
 
 
 # Float64 im2col elements in one block of conv forward rows. It sets only the
@@ -789,7 +800,7 @@ def _conv_nd(x: Tensor, kernel: Tensor, bias, padding, stride, ndim: int, op: st
     run-to-run determinism, not the forward's 64-bit accumulation. Each
     gradient is computed only for an operand that requires it, so a conv on
     a gradient-free input such as a raw clip skips the input gradient's GEMM
-    and col2im scatter (``_scatter_windows``).
+    and its ``_col2im``.
     """
     _same_dtype(x, kernel, *((bias,) if bias is not None else ()))
     if x.data.ndim != ndim + 1:
@@ -803,13 +814,9 @@ def _conv_nd(x: Tensor, kernel: Tensor, bias, padding, stride, ndim: int, op: st
     if bias is not None and bias.shape != (kernel.shape[-1],):
         raise ShapeError(f"{op}: bias shape {bias.shape} != ({kernel.shape[-1]},)")
     strides = _norm_stride(stride, ndim)
-    pads, outs = _conv_geometry(x.shape[:ndim], kernel.shape[:ndim], strides, padding)
-    k_sp, cin, cout = kernel.shape[:ndim], x.shape[-1], kernel.shape[-1]
+    k_sp, cout = kernel.shape[:ndim], kernel.shape[-1]
     wmat = kernel.data.reshape(-1, cout)
-    xp = np.pad(x.data, pads + ((0, 0),))
-    xp_shape = xp.shape
-    cols = np.ascontiguousarray(_window_view(xp, k_sp, strides, outs)).reshape(-1, len(wmat))
-    del xp  # the padded copy dies before the GEMM; backward needs only its extents
+    cols, pads, outs = _im2col(x.data, k_sp, strides, padding)
     w64 = wmat.astype(np.float64)
     out = np.empty((len(cols), cout), dtype=x.data.dtype)
     step = max(1, _CONV_BLOCK_ELEMS // len(wmat))
@@ -826,10 +833,7 @@ def _conv_nd(x: Tensor, kernel: Tensor, bias, padding, stride, ndim: int, op: st
         gmat = np.ascontiguousarray(g.reshape(-1, cout))
         gx = None
         if x.requires_grad:
-            dcols = (gmat @ wmat.T).reshape(outs + k_sp + (cin,))
-            gxp = _scatter_windows(dcols, xp_shape, strides)
-            unpad = tuple(slice(lo, e - hi) for e, (lo, hi) in zip(xp_shape, pads))
-            gx = np.ascontiguousarray(gxp[unpad])
+            gx = _col2im(gmat @ wmat.T, x.shape, k_sp, strides, pads, outs)
         grads = [gx, (cols.T @ gmat).reshape(kernel.shape) if kernel.requires_grad else None]
         if bias is not None:
             grads.append(gmat.sum(axis=0) if bias.requires_grad else None)
@@ -855,47 +859,43 @@ def conv3d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _pool_geometry(in_sp, window, stride, op: str):
-    """Strides and output extents of an unpadded pool; stride defaults to window."""
+def _pool_geometry(in_sp, window, op: str):
+    """Output extents of an unpadded pool whose stride is its window."""
     if len(window) != len(in_sp) or any(w < 1 for w in window):
         raise ShapeError(f"{op}: bad window {window}")
-    strides = _norm_stride(window if stride is None else stride, len(in_sp))
-    return strides, _conv_geometry(in_sp, window, strides, "valid")[1]
+    return _conv_geometry(in_sp, window, window, "valid")[1]
 
 
-def _maxpool_nd(x: Tensor, window, stride, ndim: int, op: str) -> Tensor:
+def _maxpool_nd(x: Tensor, window, ndim: int, op: str) -> Tensor:
+    """Max over non-overlapping windows, each strided by its own extent."""
     if x.data.ndim != ndim + 1:
         raise ShapeError(f"{op}: input must have {ndim + 1} dims, got {x.shape}")
     window = tuple(int(w) for w in window)
-    strides, outs = _pool_geometry(x.shape[:ndim], window, stride, op)
+    _pool_geometry(x.shape[:ndim], window, op)
     channels = x.shape[-1]
-
-    view = _window_view(x.data, window, strides, outs)
-    m = int(np.prod(outs, dtype=np.int64))
-    wprod = int(np.prod(window, dtype=np.int64))
-    flat = np.ascontiguousarray(view).reshape(m, wprod, channels)
+    cols, pads, outs = _im2col(x.data, window, window, "valid")
+    flat = cols.reshape(len(cols), -1, channels)
     # First maximum in row-major window scan order wins ties.
     idx = flat.argmax(axis=1)[:, None, :]
     out = np.take_along_axis(flat, idx, axis=1).reshape(outs + (channels,))
-    in_shape, cell_shape = x.shape, view.shape
 
     def bw(g):
         # Each output's gradient goes to its argmax cell, then onto the input.
-        cells = np.zeros((m, wprod, channels), dtype=g.dtype)
-        np.put_along_axis(cells, idx, g.reshape(m, 1, channels), axis=1)
-        return (_scatter_windows(cells.reshape(cell_shape), in_shape, strides),)
+        cells = np.zeros((len(idx), math.prod(window), channels), dtype=g.dtype)
+        np.put_along_axis(cells, idx, g.reshape(len(idx), 1, channels), axis=1)
+        return (_col2im(cells, x.shape, window, window, pads, outs),)
 
     return _result(out, (x,), bw, op)
 
 
-def maxpool2d(x: Tensor, window, stride=None) -> Tensor:
-    """Max over (h, w) windows of an (H, W, C) input; stride defaults to window."""
-    return _maxpool_nd(x, window, stride, 2, "maxpool2d")
+def maxpool2d(x: Tensor, window) -> Tensor:
+    """Max over (h, w) windows of an (H, W, C) input, strided by the window."""
+    return _maxpool_nd(x, window, 2, "maxpool2d")
 
 
-def maxpool3d(x: Tensor, window, stride=None) -> Tensor:
-    """Max over (t, h, w) windows of a (T, H, W, C) input."""
-    return _maxpool_nd(x, window, stride, 3, "maxpool3d")
+def maxpool3d(x: Tensor, window) -> Tensor:
+    """Max over (t, h, w) windows of a (T, H, W, C) input, strided by the window."""
+    return _maxpool_nd(x, window, 3, "maxpool3d")
 
 
 # ---------------------------------------------------------------------------

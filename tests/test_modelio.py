@@ -328,6 +328,25 @@ class TestRejection:
         with pytest.raises(modelio.ModelFormatError, match="non-finite"):
             modelio.load_model(str(bad))
 
+    # Extents whose parameter counts overflow 64 bits: at 2**31 the dense
+    # kernel's byte length does, at 2**33 already the flatten layer's width.
+    @pytest.mark.parametrize("side", [2**31, 2**33])
+    def test_header_with_overflowing_extents_is_a_format_error(self, tmp_path, capsys, side):
+        spec = models.build("cnn_td", (2, side, side, 1), 4)
+        header, _ = modelio._header(spec, PreprocessConfig(side, side, 1, 2), CLASSES)
+        payload = bytes(min(modelio._payload_size(header["tensors"]), 1 << 16))
+        header["payload_checksum_fnv1a64"] = f"{modelio._fnv1a64(payload):016x}"
+        hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        prefix = b"SLM1" + struct.pack("<I", len(hb)) + hb
+        bad = tmp_path / "huge.slm"
+        bad.write_bytes(prefix + bytes(((len(prefix) + 7) & ~7) - len(prefix)) + payload)
+        with pytest.raises(modelio.ModelFormatError):
+            modelio.load_model(str(bad))
+        rc = cli.main(["grade", "--model", str(bad), "--clip", str(tmp_path / "none")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err, err
+
     def test_distinct_error_types(self):
         errors = {
             modelio.BadMagicError,

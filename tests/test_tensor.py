@@ -181,8 +181,6 @@ class TestTensorBasics:
 
     AXIS_OPS = {
         "narrow": lambda x, axis: tn.narrow(x, axis, 0, 1),
-        "stack": lambda x, axis: tn.stack([x, tn.scale(x, 2.0)], axis=axis),
-        "softmax": lambda x, axis: tn.softmax(x, axis=axis),
         "reduce_sum": lambda x, axis: tn.reduce_sum(x, axis=axis),
         "reduce_mean": lambda x, axis: tn.reduce_mean(x, axis=axis),
     }
@@ -190,8 +188,7 @@ class TestTensorBasics:
     @pytest.mark.parametrize("op", list(AXIS_OPS))
     @pytest.mark.parametrize("side", ["above", "below"])
     def test_axis_out_of_range_is_shape_error(self, op, side):
-        rank = 2 + (op == "stack")  # stack's output has one more axis
-        axis = rank if side == "above" else -rank - 1
+        axis = 2 if side == "above" else -3
         with pytest.raises(ShapeError):
             self.AXIS_OPS[op](t32(np.ones((3, 4))), axis)
 
@@ -200,7 +197,7 @@ class TestTensorBasics:
     def test_negative_axis_matches_positive(self, op):
         xv = np.random.default_rng(3).uniform(-1, 1, (3, 4)).astype(np.float32)
         results = []
-        for axis in (1, -1 - (op == "stack")):
+        for axis in (1, -1):
             x = Tensor(xv, requires_grad=True)
             with tn.record() as tape:
                 out = self.AXIS_OPS[op](x, axis)
@@ -442,6 +439,31 @@ class TestBlockedConv:
         assert peak < 1.5 * cols_bytes, peak / cols_bytes
 
 
+class TestIm2col:
+    """``_col2im`` is the adjoint of ``_im2col``: <im2col(x), c> = <x, col2im(c)>."""
+
+    # (x shape, kernel or window, strides, padding). Odd extents leave a short
+    # last window: one that hangs into the padding, or input cells that no
+    # window covers. The last two are pool windows, strided by themselves.
+    @pytest.mark.parametrize("shape,k_sp,strides,padding", [
+        *[pytest.param(shape, k_sp, (s,) * len(k_sp), p, id=f"{op}_{p}_{s}")
+          for op, shape, k_sp in [("conv2d", (7, 6, 2), (3, 3)), ("conv3d", (5, 6, 7, 2), (2, 3, 3))]
+          for p in ("valid", "same") for s in (1, 2)],
+        pytest.param((5, 7, 3), (2, 3), (2, 3), "valid", id="pool2d"),
+        pytest.param((3, 5, 7, 2), (2, 2, 3), (2, 2, 3), "valid", id="pool3d"),
+    ])
+    def test_col2im_is_the_adjoint_of_im2col(self, shape, k_sp, strides, padding):
+        rng = np.random.default_rng(11)
+        x = rng.integers(-3, 4, shape).astype(np.float64)
+        cols, pads, outs = tn._im2col(x, k_sp, strides, padding)
+        assert cols.shape == (math.prod(outs), math.prod(k_sp) * shape[-1])
+        assert cols.flags.c_contiguous
+        c = rng.integers(-3, 4, cols.shape).astype(np.float64)
+        back = tn._col2im(c, shape, k_sp, strides, pads, outs)
+        assert back.shape == shape
+        assert np.sum(cols * c) == np.sum(x * back)
+
+
 # ---------------------------------------------------------------------------
 # Max pooling
 # ---------------------------------------------------------------------------
@@ -460,8 +482,8 @@ class TestMaxpool:
     def test_matches_scan_oracle(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(-1, 1, (5, 7, 3)).astype(np.float32)
-        got = tn.maxpool2d(t32(x), (2, 3), stride=(1, 2)).data
-        assert np.array_equal(got, oracles.maxpool_loop(x, (2, 3), (1, 2)))
+        got = tn.maxpool2d(t32(x), (2, 3)).data
+        assert np.array_equal(got, oracles.maxpool_loop(x, (2, 3), (2, 3)))
 
     def test_maxpool3d_matches_scan_oracle(self):
         rng = np.random.default_rng(6)
@@ -474,25 +496,25 @@ class TestMaxpool:
             tn.maxpool2d(t32(np.ones((2, 2, 1))), (3, 3))
 
     @pytest.mark.parametrize(
-        "op, shape, window, stride",
+        "op, shape, window",
         [
-            ("maxpool2d", (6, 9, 3), (2, 3), (1, 2)),
-            ("maxpool3d", (4, 6, 5, 2), (2, 2, 2), None),
-            ("maxpool3d", (3, 6, 7, 2), (1, 2, 2), None),
+            ("maxpool2d", (7, 10, 3), (2, 3)),
+            ("maxpool3d", (4, 6, 5, 2), (2, 2, 2)),
+            ("maxpool3d", (3, 6, 7, 2), (1, 2, 2)),
         ],
-        ids=["2d_overlapping", "3d_2x2x2", "3d_1x2x2"],
+        ids=["2d_2x3", "3d_2x2x2", "3d_1x2x2"],
     )
-    def test_gradient_matches_loop_oracle(self, op, shape, window, stride):
+    def test_gradient_matches_loop_oracle(self, op, shape, window):
         rng = np.random.default_rng(8)
         # Rounded inputs give ties; integer gradients sum exactly in any order.
         x = np.round(rng.uniform(-2, 2, shape)).astype(np.float32)
         probe = t32(x, requires_grad=True)
         with tn.record() as tape:
-            y = getattr(tn, op)(probe, window, stride)
+            y = getattr(tn, op)(probe, window)
             g = rng.integers(-3, 4, y.shape).astype(np.float32)
             loss = tn.reduce_sum(tn.mul(y, t32(g)))
         tape.backward(loss)
-        assert np.array_equal(tape.grads[probe], oracles.maxpool_grad_loop(x, g, window, stride))
+        assert np.array_equal(tape.grads[probe], oracles.maxpool_grad_loop(x, g, window))
 
     def test_tie_routes_gradient_to_first_in_scan_order(self):
         x = t32(np.full((2, 2, 1), 1.0), requires_grad=True)
@@ -521,10 +543,10 @@ _BW_CASES = {
     "relu": (tn.relu, [(2, 3)]),
     "sigmoid": (tn.sigmoid, [(2, 3)]),
     "tanh": (tn.tanh, [(2, 3)]),
-    "softmax": (lambda a: tn.softmax(a, axis=0), [(2, 3)]),
+    "softmax": (tn.softmax, [(2, 3)]),
     "reshape": (lambda a: tn.reshape(a, (3, 2)), [(2, 3)]),
     "narrow": (lambda a: tn.narrow(a, 1, 1, 2), [(2, 3)]),
-    "stack": (lambda *ts: tn.stack(list(ts), axis=1), [(2, 3), (2, 3)]),
+    "stack": (lambda *ts: tn.stack(list(ts)), [(2, 3), (2, 3)]),
     "reduce_sum": (tn.reduce_sum, [(2, 3)]),
     "reduce_mean": (lambda a: tn.reduce_mean(a, axis=1), [(2, 3)]),
     "matmul": (tn.matmul, [(2, 3), (3, 4)]),

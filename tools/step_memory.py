@@ -22,6 +22,7 @@ architecture per process; the BLAS thread count is the environment's.
 from __future__ import annotations
 
 import argparse
+import math
 import resource
 import sys
 import time
@@ -51,7 +52,7 @@ def main(argv: list[str]) -> int:
     spec = models.build(args.arch, num_classes=NUM_CLASSES)
     params = models.init_model(spec, Rng(2))
     shape = spec.input_shape
-    clip = Tensor(Rng(3).uniforms(int(np.prod(shape))).astype(np.float32).reshape(shape))
+    clip = Tensor(Rng(3).uniforms(math.prod(shape)).astype(np.float32).reshape(shape))
     truth = np.eye(NUM_CLASSES, dtype=np.float32)[[1]]
 
     def step() -> int:
