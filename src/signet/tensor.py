@@ -329,11 +329,19 @@ class Tape:
     ``nodes`` stays readable afterwards. Entering a tape makes it the
     active one in the current thread only, so tapes opened in concurrent
     threads never record each other's operations.
+
+    ``held``, a dict from leaf tensor to list, is the one way to take a
+    leaf's contributions out of the fold: backward appends each
+    contribution to such a leaf to its list, in the order it would have
+    folded them, and ``Tape.fold`` adds the lists into a ``grads`` dict
+    later with the same rule, so the sum has the bits that folding them
+    during the pass would have given.
     """
 
-    def __init__(self, grads: dict | None = None):
+    def __init__(self, grads: dict | None = None, held: dict | None = None):
         self.nodes: list[_Node] = []
         self.grads: dict[Tensor, np.ndarray] = {} if grads is None else grads
+        self.held: dict[Tensor, list] = {} if held is None else held
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -352,7 +360,7 @@ class Tape:
         tape. The walk pops it from ``grads`` and hands it to the producer's
         ``bw``. Each ``bw`` returns, per input, None or an array of that
         input's shape and dtype; an input's first contribution is stored as
-        is and later ones are added to it.
+        is and later ones are added to it, unless the input is ``held``.
         """
         if loss.numel != 1:
             raise TapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -361,20 +369,38 @@ class Tape:
         if self._spent:
             raise TapeError("backward already ran on this tape; record a new one")
         self._spent = True
-        self.grads[loss] = np.ones_like(loss.data)
+        grads, held = self.grads, self.held
+        grads[loss] = np.ones_like(loss.data)
         with np.errstate(all="ignore"):
             for node in reversed(self.nodes):
-                gout = self.grads.pop(node.out, None)
+                gout = grads.pop(node.out, None)
                 if gout is None:
                     continue
                 for t, g in zip(node.inputs, node.bw(gout)):
-                    if g is not None:
-                        self.grads[t] = g if t not in self.grads else self.grads[t] + g
+                    if g is None:
+                        continue
+                    if t in held:
+                        held[t].append(g)
+                    else:
+                        _fold(grads, t, g)
+
+    @staticmethod
+    def fold(grads: dict, held: dict) -> None:
+        """Add each held leaf's contributions into ``grads``, in list order."""
+        with np.errstate(all="ignore"):
+            for t, contributions in held.items():
+                for g in contributions:
+                    _fold(grads, t, g)
 
 
-def record(grads: dict | None = None) -> Tape:
+def _fold(grads: dict, t: Tensor, g: np.ndarray) -> None:
+    """The one summation rule: a first contribution is stored as is, later ones are added."""
+    grads[t] = g if t not in grads else grads[t] + g
+
+
+def record(grads: dict | None = None, held: dict | None = None) -> Tape:
     """Open a fresh tape folding into ``grads``; use as ``with record() as tape:``."""
-    return Tape(grads)
+    return Tape(grads, held)
 
 
 def _result(data: np.ndarray, inputs: tuple, bw, op: str) -> Tensor:
@@ -762,15 +788,27 @@ def _col2im(cols: np.ndarray, shape, k_sp, strides, pads, outs) -> np.ndarray:
     """Adjoint of ``_im2col``: sum each row's window cells back onto a zero
     array of the input's ``shape``.
 
-    The sum runs on the padded input, which is then cut back to ``shape``
-    (a copy only when something was padded). The loop runs over kernel
-    offsets in ascending row-major order. For a fixed offset the strided
-    destination cells are disjoint, so each ``+=`` is overlap-free and the
-    result is deterministic; a cell covered by several windows receives
-    their values in offset order.
+    Windows that tile the input (stride equal to the window, no padding)
+    cover each cell at most once, so one ``+=`` through the output, split
+    into (out, window) axis pairs and transposed to ``cols``' order, places
+    every value. Otherwise the sum runs on the padded input, which is then
+    cut back to ``shape`` (a copy only when something was padded). The loop
+    runs over kernel offsets in ascending row-major order. For a fixed
+    offset the strided destination cells are disjoint, so each ``+=`` is
+    overlap-free and the result is deterministic; a cell covered by several
+    windows receives their values in offset order. Both ways add onto +0.0,
+    so a -0.0 value lands as +0.0.
     """
     n = len(k_sp)
     cells = cols.reshape(outs + k_sp + shape[n:])
+    if tuple(strides) == tuple(k_sp) and not any(lo or hi for lo, hi in pads):
+        out = np.zeros(shape, dtype=cols.dtype)
+        covered = out[tuple(slice(0, o * k) for o, k in zip(outs, k_sp))]
+        # Splitting an axis never copies, so ``tiles`` is a view of ``out``.
+        tiles = covered.reshape(tuple(e for ok in zip(outs, k_sp) for e in ok) + shape[n:])
+        tiles = tiles.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)) + (2 * n,))
+        tiles += cells
+        return out
     out = np.zeros(tuple(e + lo + hi for e, (lo, hi) in zip(shape, pads)) + shape[n:],
                    dtype=cols.dtype)
     for offset in itertools.product(*(range(k) for k in k_sp)):

@@ -134,6 +134,20 @@ def maxpool_loop(x, window, stride=None):
     return out
 
 
+def col2im_offset_loop(cols, shape, k_sp, strides, pads, outs):
+    """Adjoint of im2col as one strided ``+=`` per kernel offset, in
+    ascending row-major offset order, on the padded input cut back to
+    ``shape``: the general path of ``tensor._col2im``."""
+    n = len(k_sp)
+    cells = cols.reshape(tuple(outs) + tuple(k_sp) + tuple(shape[n:]))
+    padded = tuple(e + lo + hi for e, (lo, hi) in zip(shape, pads)) + tuple(shape[n:])
+    out = np.zeros(padded, dtype=cols.dtype)
+    for offset in np.ndindex(*k_sp):
+        dst = tuple(slice(o, o + e * s, s) for o, e, s in zip(offset, outs, strides))
+        out[dst] += cells[(slice(None),) * n + offset]
+    return out[tuple(slice(lo, lo + e) for e, (lo, _) in zip(shape, pads))]
+
+
 def maxpool_grad_loop(x, g, window, stride=None):
     """Input gradient of max pooling: each output's upstream gradient goes to
     the first maximum of its window in row-major scan order."""

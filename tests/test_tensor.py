@@ -463,6 +463,27 @@ class TestIm2col:
         assert back.shape == shape
         assert np.sum(cols * c) == np.sum(x * back)
 
+    # Windows that tile the input take _col2im's one-``+=`` case. Extents
+    # that the window does not divide leave uncovered cells, which stay 0.
+    @pytest.mark.parametrize("shape,window", [
+        ((35, 64, 64, 8), (1, 2, 2)),
+        ((9, 10, 6, 3), (2, 2, 2)),
+        ((64, 64, 8), (2, 2)),
+        ((5, 7, 3), (2, 3)),
+        ((3, 5, 7, 2), (2, 2, 3)),
+    ])
+    def test_tiling_windows_match_the_offset_loop_bytes(self, shape, window):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(shape).astype(np.float32)
+        cols, pads, outs = tn._im2col(x, window, window, "valid")
+        c = rng.standard_normal(cols.shape).astype(np.float32)
+        c[::3] = -0.0  # lands as +0.0 on either path
+        got = tn._col2im(c, shape, window, window, pads, outs)
+        want = oracles.col2im_offset_loop(c, shape, window, window, pads, outs)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[got == 0]).any()
+
 
 # ---------------------------------------------------------------------------
 # Max pooling
@@ -820,6 +841,30 @@ class TestBackward:
         assert list(grads) == [w]
         assert grads[w].tobytes() == ((alone[0] + alone[1]) + alone[2]).tobytes()
         assert grads[w].tolist() == [1.0, 0.0] and np.signbit(grads[w][1])
+
+    def test_held_contributions_fold_later_to_the_same_bits(self):
+        # The chain fold of a clip-parallel batch: tape 0 folds into a dict;
+        # tapes 1 and 2 hold w's contributions, which are folded onto tape
+        # 0's sum afterwards. Each tape gives w three contributions: one
+        # from w * c and one per operand of w * w.
+        cs = ([1e8, -0.0], [-1e8, -0.0], [1.0, -0.0])
+
+        def tape(c, grads, held=None):
+            with tn.record(grads, held) as t:
+                loss = tn.add(tn.reduce_sum(tn.mul(w, t32(c))), tn.reduce_sum(tn.mul(w, w)))
+            t.backward(loss)
+
+        w = t32([1.0, 3.0], requires_grad=True)
+        serial = {}
+        for c in cs:
+            tape(c, serial)
+        running, held = {}, {w: []}
+        tape(cs[0], running)
+        for c in cs[1:]:
+            tape(c, {}, held)
+        assert len(held[w]) == 2 * 3 and list(running) == [w]
+        tn.Tape.fold(running, held)
+        assert running[w].tobytes() == serial[w].tobytes()
 
     def test_leaf_reused_on_a_fresh_tape_gets_only_that_tapes_gradient(self):
         w = t32([2.0], requires_grad=True)

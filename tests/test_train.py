@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import warnings
@@ -315,6 +316,120 @@ class TestFit:
         lines = h.to_csv().splitlines()
         assert lines[0] == "epoch,train_loss,train_accuracy,val_loss,val_accuracy"
         assert lines[1] == "1,1.23457,0.5,0.999999,0.25"
+
+
+def _cpus(monkeypatch, n):
+    """Make fit see an affinity mask of n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _epoch1_first_clip(spec, manifest, cfg):
+    """Reproduce fit's carve and epoch-1 shuffle: the first clip of batch 1."""
+    rng = Rng(cfg.seed)
+    models.init_model(spec, rng)
+    pool = list(manifest.train)
+    rng.shuffle(pool)
+    pool = pool[:-int(len(pool) * cfg.validation_split)]
+    rng.shuffle(pool)
+    return pool[0].clip_id
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_workers = pytest.mark.skipif(
+    not hasattr(os, "fork") or train._blas_pool() is None,
+    reason="fit forks workers only with os.fork and OpenBLAS's thread-count API")
+
+
+@needs_workers
+class TestWorkers:
+    """Clip-parallel batches: fit's bits, errors and clean-up do not depend
+    on the worker count. Batches of 4 clips give 1, 2 or 3 workers; 3 run a
+    two-link chain fold. Every test checks that fit leaves the BLAS thread
+    count as it found it and no child process behind."""
+
+    @pytest.fixture(autouse=True)
+    def blas_threads(self):
+        # Two threads, so that a pin to one that outlives fit shows.
+        get_threads, set_threads = train._blas_pool()
+        before = get_threads()
+        set_threads(2)
+        try:
+            yield get_threads
+            assert get_threads() == 2
+            _assert_no_child_left()
+        finally:
+            set_threads(before)
+
+    def test_model_bytes_and_history_do_not_depend_on_worker_count(
+            self, small_manifest, monkeypatch, tmp_path):
+        preprocess = data.PreprocessConfig(16, 16, 1, 6)
+        for arch in models.ARCHITECTURES:
+            spec = models.build(arch, (6, 16, 16, 1), 2)
+            outputs = []
+            for workers in (1, 2, 3):
+                _cpus(monkeypatch, workers)
+                params, history = train.fit(spec, small_manifest, _small_cfg(max_epochs=2))
+                path = tmp_path / f"{arch}-{workers}.slm"
+                modelio.save_model(spec, params, preprocess, small_manifest.class_names, str(path))
+                outputs.append((path.read_bytes(), history.to_csv()))
+            assert outputs[1] == outputs[0], arch
+            assert outputs[2] == outputs[0], arch
+
+    def test_blas_thread_count_is_restored(self, small_manifest, monkeypatch, blas_threads):
+        _cpus(monkeypatch, 2)
+        train.fit(models.build("cnn3d", (6, 16, 16, 1), 2), small_manifest,
+                  _small_cfg(max_epochs=1))
+        assert blas_threads() == 2
+
+    def test_killed_worker_is_a_training_error_naming_its_first_clip(
+            self, small_manifest, monkeypatch):
+        spec = models.build("cnn_td", (6, 16, 16, 1), 2)
+        cfg = _small_cfg(max_epochs=1)
+        parent = os.getpid()
+        clip_loss = train._clip_loss
+
+        def dies_in_a_worker(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return clip_loss(*args)
+
+        # The fork inherits the patch, so every worker dies on its first clip.
+        monkeypatch.setattr(train, "_clip_loss", dies_in_a_worker)
+        _cpus(monkeypatch, 2)
+        first = _epoch1_first_clip(spec, small_manifest, cfg)
+        with pytest.raises(TrainingError, match=rf"^epoch 1: clip {re.escape(first)}: "
+                                                r"training worker ended without a result"):
+            train.fit(spec, small_manifest, cfg)
+
+    def test_interrupt_reaps_every_worker(self, small_manifest, monkeypatch):
+        parent = os.getpid()
+        receive = train._receive
+
+        def interrupted_in_the_parent(fd):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return receive(fd)
+
+        monkeypatch.setattr(train, "_receive", interrupted_in_the_parent)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(KeyboardInterrupt):
+            train.fit(models.build("cnn3d", (6, 16, 16, 1), 2), small_manifest,
+                      _small_cfg(max_epochs=1))
+
+    def test_divergence_names_the_same_clip_for_every_worker_count(
+            self, small_manifest, monkeypatch):
+        spec = models.build("cnn3d", (6, 16, 16, 1), 2)
+        messages = []
+        for workers in (1, 2, 3):
+            _cpus(monkeypatch, workers)
+            with pytest.raises(tn.NonFiniteError) as exc:
+                train.fit(spec, small_manifest, _small_cfg(learning_rate=1e6))
+            messages.append(str(exc.value))
+        assert messages[1] == messages[0] and messages[2] == messages[0]
 
 
 _STEP_DIGESTS = """
