@@ -236,10 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "train", help="train one architecture on a dataset",
         description="Train one architecture on a dataset. Each batch's clips are stepped "
-        "in parallel by forked workers, one per CPU the process may run on (at most one "
-        "per clip); their gradients are summed in the serial order, so the model and "
-        "history bytes do not depend on the worker count. Run under 'taskset -c 0' for "
-        "a serial fit.")
+        "in parallel by forked workers, one per CPU the process may run on, and the model "
+        "and history bytes do not depend on the worker count (signet.train._forked_batch "
+        "describes how). Run under 'taskset -c 0' for a serial fit.")
     p.add_argument("--data", required=True)
     p.add_argument("--arch", required=True, choices=models.ARCHITECTURES)
     p.add_argument("--out", required=True)

@@ -20,6 +20,7 @@ seeded-shuffled clips in the train split and the rest in the eval split.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -96,28 +97,11 @@ class DatasetManifest:
 # ---------------------------------------------------------------------------
 
 
-def _read_header_tokens(data: bytes, count: int, start: int):
-    """Read whitespace-separated header tokens, skipping '#' comment lines."""
-    tokens = []
-    i = start
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i : i + 1] == b"#":
-            while i < n and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        j = i
-        while j < n and not data[j : j + 1].isspace():
-            j += 1
-        if j == i:
-            raise DatasetError("truncated netpbm header")
-        tokens.append(data[i:j])
-        i = j
-    if i >= n:
-        raise DatasetError("truncated netpbm header")
-    return tokens, i + 1  # single whitespace byte separates header from payload
+# Magic, then width, height and maxval as ASCII digits, each ended by one
+# whitespace byte; whitespace and '#' comment lines may sit between them.
+# The byte after maxval is the last of the header.
+_SEP = rb"(?:\s|#[^\n]*\n)*"
+_HEADER = re.compile(rb"P[56]" + _SEP + rb"(\d+)\s" + _SEP + rb"(\d+)\s" + _SEP + rb"(\d+)\s")
 
 
 def decode_netpbm(data: bytes) -> np.ndarray:
@@ -130,16 +114,16 @@ def decode_netpbm(data: bytes) -> np.ndarray:
     if data[:2] not in (b"P5", b"P6") or not (after.isspace() or after == b"#"):
         raise DatasetError(f"bad netpbm magic {data[:3]!r}")
     channels = 1 if data[:2] == b"P5" else 3
-    tokens, offset = _read_header_tokens(data, 3, 2)
-    if not all(t.isdigit() for t in tokens):
-        raise DatasetError(f"bad netpbm header tokens {tokens}")
-    width, height, maxval = (int(t) for t in tokens)
+    header = _HEADER.match(data)
+    if header is None:
+        raise DatasetError("bad or truncated netpbm header")
+    width, height, maxval = (int(g) for g in header.groups())
     if width < 1 or height < 1:
         raise DatasetError(f"bad netpbm extents {width}x{height}")
     if maxval != 255:
         raise DatasetError(f"unsupported netpbm maxval {maxval} (need 255)")
     need = width * height * channels
-    payload = data[offset : offset + need]
+    payload = data[header.end() : header.end() + need]
     if len(payload) < need:
         raise DatasetError(
             f"truncated netpbm payload: need {need} bytes, have {len(payload)}"

@@ -6,15 +6,14 @@ epoch's shuffle, so a (spec, manifest, config) triple always produces
 bit-identical weights and history.
 
 A batch of two or more clips is stepped by forked workers, one per CPU in
-the process's affinity mask and at most one per clip, each taking a
-contiguous chunk of the batch. The gradient is folded in the serial order,
-clip after clip, so the worker count never changes a trained byte; run
-under ``taskset -c 0`` for a serial fit. Where ``os.fork`` or OpenBLAS's
-thread-count API is missing, every batch runs in-process.
+the process's affinity mask, and the worker count never changes a trained
+byte; ``_forked_batch`` describes the protocol. Run under ``taskset -c 0``
+for a serial fit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import glob
@@ -281,69 +280,89 @@ def _batch_gradient(spec, params, batch, num_classes) -> tuple[dict, list]:
     return _forked_batch(spec, params, batch, num_classes, workers)
 
 
+# A worker's exit code when its chunk, fold or send raised.
+_RAISED = 3
+
+
 def _forked_batch(spec, params, batch, num_classes, workers) -> tuple[dict, list]:
     """Step contiguous chunks of ``batch`` in forked workers, chaining the fold.
 
-    Worker 0 folds its clips as the in-process loop does. Worker i > 0
-    holds its trainable parameters' contributions in tape order, reads
-    worker i-1's running sums from a pipe, adds its contributions one at a
-    time in clip order, and passes the sums on; the last worker's are the
-    batch gradient. Chaining keeps the adds in the workers, overlapped with
-    the later chunks' steps: sending every contribution to the parent to
-    fold there made cnn_td no faster than the serial loop (0.99x on a
-    2-vCPU Xeon). Worker 0 holds nothing, since it folds as it goes.
+    The workers form one forward chain over N pipes. Worker 0 folds its
+    clips as the in-process loop does. Worker i > 0 holds its trainable
+    parameters' contributions in tape order, reads worker i-1's message,
+    adds its contributions to the running sums one at a time in clip
+    order, and passes the message on. A message is every clip's
+    (loss, hit) so far plus the running sums; each worker writes exactly
+    one, to the next worker or, from the last, to this process. Chaining
+    keeps the adds in the workers, overlapped with the later chunks'
+    steps: sending every contribution to the parent to fold there made
+    cnn_td no faster than the serial loop (0.99x on a 2-vCPU Xeon).
+
+    No error crosses a pipe. A worker whose chunk, fold or send raises
+    exits with ``_RAISED`` and writes nothing; one whose upstream message
+    never comes, or whose downstream reader has gone, exits 0 without
+    writing, so a worker is blamed only for its own failure. The last
+    message thus arrives only when every chunk has stepped, and a complete
+    one finishes the batch whatever the exit statuses, as when a worker is
+    killed after its write. Without it, the earliest chunk whose worker
+    failed holds the earliest failing clip. If that worker raised, this
+    process steps the chunk again, at the workers' one BLAS thread, which
+    raises the serial error with its own type and traceback; if the
+    re-step passes, or the worker died any other way, the result is a
+    ``TrainingError`` naming the chunk's first clip and the exit code. A
+    worker killed by a signal, as for running out of memory, is never
+    re-run here.
 
     The pool is pinned to one BLAS thread before the fork and restored
     after every worker is reaped. On the same 2-vCPU host, two processes
     that kept 2 threads each oversubscribed it (cnn3d 2.67 steps/s against
     7.24 serially), and workers that dropped to one thread themselves after
     a fork from a 2-thread parent took 141-227 ms for five 12x32x32 cnn3d
-    steps against 74-78 ms when the parent had pinned first.
-
-    A worker that raises reports the error and the parent re-raises the one
-    from the earliest chunk, which holds the earliest failing clip. A worker
-    that ends without a result is a ``TrainingError`` naming its first clip.
-    Workers leave only through ``os._exit``, so no inherited stdio buffer is
-    flushed twice and no atexit handler runs; the parent reaps each one,
-    killing those still running when it leaves on an error or interrupt.
+    steps against 74-78 ms when the parent had pinned first. Workers leave
+    only through ``os._exit``, so no inherited stdio buffer is flushed
+    twice and no atexit handler runs; this process reaps each one, killing
+    those still running when it leaves on an error or interrupt.
     """
     names = [n for n in params.names() if params.is_trainable(n)]
     edges = [len(batch) * i // workers for i in range(workers + 1)]
     chunks = [batch[a:b] for a, b in zip(edges, edges[1:])]
-    results = [os.pipe() for _ in chunks]
-    links = [os.pipe() for _ in chunks[1:]]
-    open_fds = {fd for pipe in results + links for fd in pipe}
+    pipes = [os.pipe() for _ in chunks]
+    open_fds = {fd for pipe in pipes for fd in pipe}
     get_threads, set_threads = _blas_pool()
     threads = get_threads()
     set_threads(1)
     pids: list[int] = []
     try:
         for i, chunk in enumerate(chunks):
-            link_in = links[i - 1][0] if i else None
-            link_out = links[i][1] if i < len(links) else None
+            link_in = pipes[i - 1][0] if i else None
             pid = os.fork()
             if pid == 0:
-                code = 1
+                code = _RAISED
                 try:
-                    for fd in open_fds - {results[i][1], link_in, link_out}:
+                    for fd in open_fds - {link_in, pipes[i][1]}:
                         os.close(fd)
-                    _worker(spec, params, chunk, num_classes, len(batch), names,
-                            link_in, link_out, results[i][1])
-                    code = 0
+                    code = _worker(spec, params, chunk, num_classes, len(batch), names,
+                                   link_in, pipes[i][1])
                 finally:
                     os._exit(code)
             pids.append(pid)
-        for fd in open_fds - {r for r, _ in results}:
+        last = pipes[-1][0]
+        for fd in open_fds - {last}:
             os.close(fd)
-        open_fds = {r for r, _ in results}
-        messages = []
-        for r, _ in results:
-            open_fds.discard(r)  # _receive closes it
-            messages.append(_receive(r))
+        open_fds = set()  # _receive closes the last read end
+        message = _receive(last)
         statuses = []
         while pids:
             statuses.append(os.waitpid(pids[0], 0)[1])
             pids.pop(0)
+        if message is None:
+            i = next((i for i, status in enumerate(statuses) if status), len(chunks) - 1)
+            code = os.waitstatus_to_exitcode(statuses[i])
+            if code == _RAISED:
+                _clip_steps(spec, params, chunks[i], num_classes, len(batch), {}, None)
+            raise TrainingError(
+                f"clip {chunks[i][0].clip_id}: training worker ended without a result "
+                f"(exit code {code})")
     finally:
         for fd in open_fds:
             os.close(fd)
@@ -351,48 +370,29 @@ def _forked_batch(spec, params, batch, num_classes, workers) -> tuple[dict, list
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         set_threads(threads)
-
-    outcomes = []
-    for chunk, message, status in zip(chunks, messages, statuses):
-        if message is None:
-            raise TrainingError(
-                f"clip {chunk[0].clip_id}: training worker ended without a result "
-                f"(exit code {os.waitstatus_to_exitcode(status)})")
-        done, error, _ = message
-        if error is not None:
-            raise error
-        outcomes.extend(done)
-    sums = messages[-1][2]
+    outcomes, sums = message
     return {params[name]: g for name, g in sums.items()}, outcomes
 
 
-def _worker(spec, params, chunk, num_classes, batch_size, names, link_in, link_out, result_fd):
-    """Body of a forked worker; see ``_forked_batch``. Sends the parent one
-    message, (clip outcomes, error or None, the batch's sums if last or
-    None), then the running sums, or None after a failure, down the chain."""
-    held = {} if link_in is None else {params[n]: [] for n in names}
+def _worker(spec, params, chunk, num_classes, batch_size, names, link_in, link_out) -> int:
+    """Body of a forked worker; see ``_forked_batch``. Returns its exit
+    code: 0 after it wrote its message, found no upstream message, or
+    found its downstream reader gone. A raise leaves with ``_RAISED``."""
+    signal.signal(signal.SIGPIPE, signal.SIG_IGN)  # a gone reader is a BrokenPipeError
+    held = None if link_in is None else {params[n]: [] for n in names}
     grads = {}
-    error = running = sums = None
-    try:
-        done = _clip_steps(spec, params, chunk, num_classes, batch_size, grads, held)
-    except Exception as exc:  # the parent re-raises it
-        done, error = [], exc
-    if error is None and link_in is None:
-        running = grads
-    elif error is None:
-        upstream = _receive(link_in)  # None when an earlier chunk failed
-        if upstream is not None:
-            running = {params[n]: g for n, g in upstream.items()}
-            tn.Tape.fold(running, held)
-    if running is not None:
-        sums = {n: running[params[n]] for n in names if params[n] in running}
-    try:
-        pickle.loads(pickle.dumps(error))
-    except Exception:  # an error the parent could not rebuild
-        error = TrainingError(f"{type(error).__name__}: {error}")
-    _send(result_fd, (done, error, None if link_out is not None else sums))
-    if link_out is not None:
-        _send(link_out, sums)
+    outcomes = _clip_steps(spec, params, chunk, num_classes, batch_size, grads, held)
+    if link_in is not None:
+        upstream = _receive(link_in)
+        if upstream is None:  # an earlier worker failed
+            return 0
+        outcomes = upstream[0] + outcomes
+        grads = {params[n]: g for n, g in upstream[1].items()}
+        tn.Tape.fold(grads, held)
+    sums = {n: grads[params[n]] for n in names if params[n] in grads}
+    with contextlib.suppress(BrokenPipeError):  # a later worker died; it is the one to blame
+        _send(link_out, (outcomes, sums))
+    return 0
 
 
 def _send(fd: int, message) -> None:
@@ -417,23 +417,20 @@ def fit(spec: ModelSpec, manifest: DatasetManifest, cfg: TrainingConfig) -> tupl
     contributes gradients. Returns the final-epoch weights (no rollback on
     early stop) and the per-epoch history.
 
-    Each batch of two or more clips is split into contiguous chunks, one
-    per worker: as many workers as CPUs in the process's affinity mask, at
-    most one per clip. Each chunk runs in a child made by ``os.fork`` that
-    sees the current parameters copy-on-write. A parameter's batch gradient
-    is one fold over its contributions, in clip order and within a clip in
-    reverse tape order, whatever the worker count; the per-clip losses and
-    hits are added in clip order too. So weights and history do not depend
-    on the worker count wherever a step's bits do not depend on the BLAS
-    thread count, as on OpenBLAS's SkylakeX kernel. Workers run at one BLAS
-    thread; on a kernel that splits a conv-backward GEMM's sums across
-    threads (OpenBLAS's Haswell kernel), their bits can differ from those
-    of an in-process batch at more threads. ``taskset -c 0`` gives a serial
-    fit, and where ``os.fork`` or OpenBLAS's thread-count API is missing,
-    every batch runs in this process. While workers run, this process's
-    OpenBLAS pool is pinned to one thread; the old count is restored
-    before ``fit`` goes on. An error in a worker is raised here with the
-    serial message, for the earliest failing clip in batch order.
+    Each batch of two or more clips is stepped by forked workers, as many
+    as CPUs in the process's affinity mask and at most one per clip
+    (``_forked_batch`` gives the protocol); ``taskset -c 0`` gives a serial
+    fit, as does a host without ``os.fork`` or OpenBLAS's thread-count API.
+    Weights and history do not depend on the worker count wherever a
+    step's bits do not depend on the BLAS thread count, as on OpenBLAS's
+    SkylakeX kernel: workers run at one BLAS thread, so on a kernel that
+    splits a conv-backward GEMM's sums across threads (OpenBLAS's Haswell
+    kernel) their bits can differ from an in-process batch at more. While
+    workers run, this process's OpenBLAS pool is pinned to one thread; the
+    old count is restored, and no worker is left running, when ``fit``
+    goes on or leaves. A clip's error is raised here with the serial type
+    and message, for the earliest failing clip in batch order; a worker
+    that dies any other way is a ``TrainingError`` naming its first clip.
     """
     if not manifest.train:
         raise TrainingError("training set is empty")

@@ -332,3 +332,32 @@ def ordered_matmul_accumulate(a, b):
             prod[:, 0] += out
         out = np.add.accumulate(prod, axis=1)[:, -1]
     return out
+
+
+def netpbm_header_scan(data):
+    """(width, height, maxval, payload offset) of a binary netpbm header, or
+    None if it is not one: the byte-at-a-time token scanner the header
+    regex replaced. Tokens are whitespace-separated, '#' starts a comment
+    that runs to the next newline, and one whitespace byte ends the header."""
+    after = data[2:3]
+    if data[:2] not in (b"P5", b"P6") or not (after.isspace() or after == b"#"):
+        return None
+    tokens = []
+    i, n = 2, len(data)
+    while len(tokens) < 3:
+        while i < n and data[i : i + 1].isspace():
+            i += 1
+        if i < n and data[i : i + 1] == b"#":
+            while i < n and data[i : i + 1] != b"\n":
+                i += 1
+            continue
+        j = i
+        while j < n and not data[j : j + 1].isspace():
+            j += 1
+        if j == i:
+            return None
+        tokens.append(data[i:j])
+        i = j
+    if i >= n or not all(t.isdigit() for t in tokens):
+        return None
+    return (*(int(t) for t in tokens), i + 1)

@@ -405,6 +405,93 @@ class TestWorkers:
                                                 r"training worker ended without a result"):
             train.fit(spec, small_manifest, cfg)
 
+    def test_killed_worker_chunk_is_not_stepped_again_in_the_parent(
+            self, small_manifest, monkeypatch):
+        # A worker killed for running out of memory would take the parent
+        # down if the parent re-ran its chunk.
+        spec = models.build("cnn_td", (6, 16, 16, 1), 2)
+        parent = os.getpid()
+
+        def killed_in_a_worker(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise AssertionError("the parent stepped a killed worker's chunk")
+
+        monkeypatch.setattr(train, "_clip_loss", killed_in_a_worker)
+        _cpus(monkeypatch, 2)
+        with pytest.raises(TrainingError, match=rf"\(exit code {-signal.SIGKILL}\)$"):
+            train.fit(spec, small_manifest, _small_cfg(max_epochs=1))
+
+    def test_worker_killed_after_its_write_does_not_fail_the_batch(
+            self, small_manifest, monkeypatch, tmp_path):
+        spec = models.build("cnn_td", (6, 16, 16, 1), 2)
+        preprocess = data.PreprocessConfig(16, 16, 1, 6)
+        parent = os.getpid()
+        send = train._send
+
+        def dies_after_its_write(fd, message):
+            send(fd, message)
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(train, "_send", dies_after_its_write)
+        outputs = []
+        for workers in (1, 2):
+            _cpus(monkeypatch, workers)
+            params, history = train.fit(spec, small_manifest, _small_cfg(max_epochs=2))
+            path = tmp_path / f"{workers}.slm"
+            modelio.save_model(spec, params, preprocess, small_manifest.class_names, str(path))
+            outputs.append((path.read_bytes(), history.to_csv()))
+        assert outputs[1] == outputs[0]
+
+    def test_worker_error_keeps_its_type_and_message(self, small_manifest, monkeypatch):
+        class OddShape(tn.ShapeError):
+            def __init__(self, message, *, clip):  # pickle cannot rebuild it from args
+                super().__init__(f"clip {clip}: {message}")
+
+        spec = models.build("cnn_td", (6, 16, 16, 1), 2)
+        cfg = _small_cfg(max_epochs=1)
+        first = _epoch1_first_clip(spec, small_manifest, cfg)
+        clip_loss = train._clip_loss
+
+        def odd_on_taped_steps(spec, params, sample, num_classes):
+            # The batch's first clip steps, so with 3 workers chunk 0 passes
+            # and the earliest failing chunk is the second.
+            if tn._TAPE.get() is not None and sample.clip_id != first:
+                raise OddShape("odd", clip=sample.clip_id)
+            return clip_loss(spec, params, sample, num_classes)
+
+        monkeypatch.setattr(train, "_clip_loss", odd_on_taped_steps)
+        errors = []
+        for workers in (1, 2, 3):
+            _cpus(monkeypatch, workers)
+            with pytest.raises(OddShape) as exc:
+                train.fit(spec, small_manifest, cfg)
+            errors.append((type(exc.value), str(exc.value)))
+        assert errors[0][1].startswith("epoch 1: clip ")
+        assert errors[1] == errors[0] and errors[2] == errors[0]
+
+    def test_error_only_a_worker_raises_is_a_training_error_naming_its_chunk(
+            self, small_manifest, monkeypatch):
+        spec = models.build("cnn_td", (6, 16, 16, 1), 2)
+        cfg = _small_cfg(max_epochs=1)
+        parent = os.getpid()
+        clip_loss = train._clip_loss
+
+        def raises_in_a_worker(*args):
+            if os.getpid() != parent:
+                raise tn.ShapeError("only in a worker")
+            return clip_loss(*args)
+
+        # The parent's re-step of chunk 0 passes, so no serial error exists.
+        monkeypatch.setattr(train, "_clip_loss", raises_in_a_worker)
+        _cpus(monkeypatch, 2)
+        first = _epoch1_first_clip(spec, small_manifest, cfg)
+        with pytest.raises(TrainingError, match=rf"^epoch 1: clip {re.escape(first)}: "
+                                                r"training worker ended without a result "
+                                                rf"\(exit code {train._RAISED}\)$"):
+            train.fit(spec, small_manifest, cfg)
+
     def test_interrupt_reaps_every_worker(self, small_manifest, monkeypatch):
         parent = os.getpid()
         receive = train._receive
