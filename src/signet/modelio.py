@@ -11,28 +11,48 @@ File layout::
 The header carries format_version, architecture id, input shape, class
 names, preprocessing config, layer configs, a tensor table of
 {name, shape, offset, length} with offsets relative to the payload start
-and aligned to 8 bytes, and a 64-bit FNV-1a checksum of the payload. A
-loaded model is therefore self-describing: prediction needs nothing
-beyond the file. Saving the same model twice produces identical bytes.
+and aligned to 8 bytes, and a checksum of the payload. A loaded model is
+therefore self-describing: prediction needs nothing beyond the file.
+Saving the same model twice produces identical bytes.
 
-The checksum runs without a per-byte loop (see ``_fnv1a64``). Only the low
-byte of the FNV-1a state is nonlinear, and its 8 bit planes are prefix XORs
-taken lowest first. With the low bytes known, the state obeys the linear
+``save_model`` writes format version 2, whose ``payload_sha256`` is the
+sha256 hex digest of the payload. Version 1 is read, never written: it
+differs only in ``format_version`` and in carrying
+``payload_checksum_fnv1a64``, the 64-bit FNV-1a of the payload as 16 hex
+digits, in place of the sha256. Every other version is rejected with
+``UnsupportedVersionError``. ``_CHECKSUMS`` maps each version to its key
+and checksum; beyond that, a version is only the value of its own field.
+
+Why sha256. FNV-1a is a sequential byte fold, and even without a per-byte
+loop (see ``_fnv1a64``) it made nearly all of the 8.46 MB cnn3d model's
+load time. ``hashlib.sha256`` runs the same payload about eight times
+faster, on CPUs with SHA extensions. ``zlib.crc32`` is about three times
+faster again, but its 32 bits would let one random corruption in 2^32
+through, where the 64-bit FNV-1a let one in 2^64 through. sha256 misses one
+in 2^256 and, unlike FNV-1a, has no known structure that rearranged or
+adversarial bytes could use, so it is the stronger check on every count.
+
+The FNV-1a ``_fnv1a64`` runs without a per-byte loop. Only the low byte of
+the FNV-1a state is nonlinear, and its 8 bit planes are prefix XORs taken
+lowest first. With the low bytes known, the state obeys the linear
 recurrence ``h_n = P * (h_(n-1) + d_n) mod 2^64``, summed against a table
-of powers of the FNV prime.
+of powers of the FNV prime, built on the first version-1 checksum.
 
 One function, ``_header``, decides every header field but the checksum
-from the model spec, the preprocess config and the class names, and the
-preprocess config must produce clips of the spec's input shape.
-``save_model`` writes that header. ``load_model`` rebuilds the spec from
-the few fields the builders read and accepts the file only if the stored
-header equals ``_header`` of what it rebuilt, so it loads exactly the files
-``save_model`` can write.
+from the model spec, the preprocess config, the class names and the format
+version, and the preprocess config must produce clips of the spec's input
+shape. ``save_model`` writes that header. ``load_model`` rebuilds the spec
+from the few fields the builders read and accepts the file only if the
+stored header equals ``_header`` of what it rebuilt, at the file's own
+version, so it loads exactly the files ``save_model`` writes and their
+version-1 forms.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import hashlib
 import json
 import math
 import os
@@ -61,7 +81,7 @@ __all__ = [
 ]
 
 MAGIC = b"SLM1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ModelFormatError(ValueError):
@@ -96,8 +116,12 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _CHUNK = 1 << 18
-# _POWERS[i] = P^(_CHUNK - i) mod 2^64, so the last n entries are P^n ... P^1.
-_POWERS = np.multiply.accumulate(np.full(_CHUNK, _FNV_PRIME, dtype=np.uint64))[::-1].copy()
+
+
+@functools.cache
+def _powers() -> np.ndarray:
+    """``out[i] = P^(_CHUNK - i) mod 2^64``, so the last n entries are P^n ... P^1."""
+    return np.multiply.accumulate(np.full(_CHUNK, _FNV_PRIME, dtype=np.uint64))[::-1].copy()
 
 
 def _exclusive_prefix_xor(bits: np.ndarray, start: int) -> np.ndarray:
@@ -132,9 +156,10 @@ def _fnv1a64(data) -> int:
     lower planes fix. With every low byte known, ``h ^ b = h + d`` where
     ``d = (l ^ b) - l``, and the state after a chunk of m bytes is the linear
     ``P^m h + sum(P^(m-n+1) d_n) mod 2^64``: one wrapping uint64 dot product
-    with ``_POWERS``.
+    with ``_powers()``.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
+    table = _powers()
     h = _FNV_OFFSET
     for start in range(0, buf.size, _CHUNK):
         b = buf[start : start + _CHUNK]
@@ -143,7 +168,7 @@ def _fnv1a64(data) -> int:
             flips = ((low ^ b) * np.uint8(0xB3)) & np.uint8(1 << k)
             low |= _exclusive_prefix_xor(flips, (h >> k) & 1) * np.uint8(1 << k)
         d = np.subtract(low ^ b, low, dtype=np.int16).astype(np.uint64)  # wraps mod 2^64
-        powers = _POWERS[_CHUNK - b.size :]
+        powers = table[_CHUNK - b.size :]
         h = (int(powers[0]) * h + int(np.dot(d, powers))) & _MASK64
     return h
 
@@ -160,24 +185,32 @@ def _is_int_list(v) -> bool:
     return isinstance(v, list) and all(_is_int(x) for x in v)
 
 
-_CHECKSUM = "payload_checksum_fnv1a64"
+# Each readable format version: its checksum's header key, the checksum of a
+# payload as lowercase hex, and that hex string's length.
+_CHECKSUMS = {
+    1: ("payload_checksum_fnv1a64", lambda data: f"{_fnv1a64(data):016x}", 16),
+    2: ("payload_sha256", lambda data: hashlib.sha256(data).hexdigest(), 64),
+}
 
-# The header fields the builders read, and the checksum: their JSON types are
-# checked before any is used. Every other field is compared with _header.
+
+# The header fields the builders read: their JSON types, and the hex string
+# of the file's checksum key, are checked before any is used. Every other
+# field is compared with _header.
 _HEADER_FIELDS = {
     "architecture": lambda v: isinstance(v, str),
     "input_shape": _is_int_list,
     "num_classes": _is_int,
     "class_names": lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
     "feature_extractor_trainable": lambda v: isinstance(v, bool),
-    _CHECKSUM: lambda v: isinstance(v, str) and re.fullmatch("[0-9a-f]{16}", v),
 }
 
 
 def _header(
-    spec: ModelSpec, preprocess: PreprocessConfig, class_names: list[str]
+    spec: ModelSpec, preprocess: PreprocessConfig, class_names: list[str],
+    version: int = FORMAT_VERSION,
 ) -> tuple[dict, list[nn.ParamPlan]]:
-    """Every header field but the checksum, and the parameter plans.
+    """Every header field of a ``version`` file but the checksum, and the
+    parameter plans.
 
     The preprocess config's (sequence_length, target_height, target_width,
     channels) must be the integers of the input shape. The tensor table
@@ -198,7 +231,7 @@ def _header(
                       "length": length})
         offset = _align8(offset + length)
     header = {
-        "format_version": FORMAT_VERSION,
+        "format_version": version,
         "architecture": spec.architecture,
         "input_shape": list(spec.input_shape),
         "num_classes": spec.num_classes,
@@ -222,7 +255,8 @@ def save_model(
     class_names: list[str],
     path: str,
 ) -> None:
-    """Write an SLM1 file; byte-identical output for identical inputs.
+    """Write a format-version-2 SLM1 file; byte-identical output for
+    identical inputs.
 
     The file appears at ``path`` whole or not at all: it is written to a
     temporary file in the same directory and renamed over ``path``.
@@ -246,7 +280,8 @@ def save_model(
                 f"parameter {plan.name!r} has shape {t.shape}, expected {plan.shape}"
             )
         payload[entry["offset"] : entry["offset"] + entry["length"]] = t.data.astype("<f4").tobytes()
-    header[_CHECKSUM] = f"{_fnv1a64(payload):016x}"
+    key, checksum, _ = _CHECKSUMS[FORMAT_VERSION]
+    header[key] = checksum(payload)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     prefix_len = len(MAGIC) + 4 + len(header_bytes)
     pad = _align8(prefix_len) - prefix_len
@@ -270,13 +305,14 @@ def save_model(
 def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, list[str]]:
     """Read an SLM1 file back into (spec, params, preprocess, class_names).
 
-    Checks the magic and the format version, then parses the header fields
-    the builders read and rebuilds the model from them. The file is accepted
-    only if its header, checksum aside, equals the one ``save_model`` writes
-    for that model, its preprocess config and its class names; the tensors
-    are read at the offsets of that header. Then the payload must be long
-    enough, match its checksum (which every file must carry), and hold only
-    finite weights. Rejected contents raise a ``ModelFormatError``; a file
+    Checks the magic and the format version (1 or 2), then parses the header
+    fields the builders read and rebuilds the model from them. The file is
+    accepted only if its header, checksum aside, equals the one ``save_model``
+    writes for that model, its preprocess config and its class names at the
+    file's version; the tensors are read at the offsets of that header. Then
+    the payload must be long enough, match the version's checksum (which
+    every file must carry) or raise ``ChecksumError``, and hold only finite
+    weights. Rejected contents raise a ``ModelFormatError``; a file
     that cannot be read raises ``OSError``.
     """
     with open(path, "rb") as fh:
@@ -294,14 +330,17 @@ def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, 
         raise ModelFormatError(f"{path}: header is not a JSON object")
 
     version = header.get("format_version")
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version not in _CHECKSUMS:
         raise UnsupportedVersionError(f"{path}: unsupported format version {version!r}")
+    key, checksum, digits = _CHECKSUMS[version]
 
-    for key, valid in _HEADER_FIELDS.items():
-        if key not in header:
-            raise ModelFormatError(f"{path}: header missing {key!r}")
-        if not valid(header[key]):
-            raise ModelFormatError(f"{path}: header field {key!r} has the wrong type")
+    fields = {**_HEADER_FIELDS,
+              key: lambda v: isinstance(v, str) and re.fullmatch(f"[0-9a-f]{{{digits}}}", v)}
+    for field, valid in fields.items():
+        if field not in header:
+            raise ModelFormatError(f"{path}: header missing {field!r}")
+        if not valid(header[field]):
+            raise ModelFormatError(f"{path}: header field {field!r} has the wrong type")
 
     class_names = header["class_names"]
     try:
@@ -312,14 +351,14 @@ def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, 
             feature_extractor_trainable=header["feature_extractor_trainable"],
         )
         preprocess = PreprocessConfig(**header.get("preprocess"))
-        expected, plans = _header(spec, preprocess, class_names)
+        expected, plans = _header(spec, preprocess, class_names, version)
     except (TypeError, ValueError, OverflowError) as exc:
         raise IncompatibleModelError(f"{path}: header rejected by the builders: {exc}") from exc
     if len(class_names) != spec.num_classes:
         raise IncompatibleModelError(
             f"{path}: {len(class_names)} class names for {spec.num_classes} classes"
         )
-    if {k: v for k, v in header.items() if k != _CHECKSUM} != expected:
+    if {k: v for k, v in header.items() if k != key} != expected:
         raise IncompatibleModelError(
             f"{path}: header differs from the one save_model writes for this "
             f"{spec.architecture} model"
@@ -329,7 +368,7 @@ def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, 
     table = expected["tensors"]
     if len(payload) < _payload_size(table):
         raise TruncatedPayloadError(f"{path}: payload too short for its tensor table")
-    if f"{_fnv1a64(payload):016x}" != header[_CHECKSUM]:
+    if checksum(payload) != header[key]:
         raise ChecksumError(f"{path}: payload checksum mismatch")
 
     store = ParameterStore()

@@ -3,12 +3,21 @@
 Everything here is deliberately written as plain scalar loops (or direct
 formula transcriptions) so it shares no code path with the package. The
 float32 variants accumulate in the same canonical ascending order the
-kernels document, which makes exact comparisons meaningful.
+kernels document, which makes exact comparisons meaningful. The model-file
+builders at the end are the exception: they assemble SLM1 bytes by hand,
+but take version 1's FNV-1a from ``modelio._fnv1a64``, which the checksum
+tests hold equal to ``fnv1a64_loop``: the byte loop would take seconds on
+cnn3d's 8.46 MB payload.
 """
 
+import hashlib
+import json
 import math
+import struct
 
 import numpy as np
+
+from signet import modelio
 
 
 def matmul_triple_loop_f32(a, b):
@@ -361,3 +370,35 @@ def netpbm_header_scan(data):
     if i >= n or not all(t.isdigit() for t in tokens):
         return None
     return (*(int(t) for t in tokens), i + 1)
+
+
+def split_model_file(raw):
+    """(header dict, payload bytes) of the bytes of an SLM1 file."""
+    (hlen,) = struct.unpack("<I", raw[4:8])
+    return json.loads(raw[8 : 8 + hlen]), raw[(8 + hlen + 7) & ~7 :]
+
+
+def model_file(header, payload):
+    """SLM1 bytes: magic, header length, the header as ``save_model`` dumps
+    it, zero padding to a multiple of 8 bytes, then the payload."""
+    hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    prefix = b"SLM1" + struct.pack("<I", len(hb)) + hb
+    return prefix + bytes(((len(prefix) + 7) & ~7) - len(prefix)) + payload
+
+
+def with_checksum(header, payload):
+    """``model_file`` with the payload checksum of the header's format
+    version: the sha256 hex digest for 2, the 16-digit FNV-1a for 1."""
+    if header["format_version"] == 1:
+        header = {**header, "payload_checksum_fnv1a64": f"{modelio._fnv1a64(payload):016x}"}
+    else:
+        header = {**header, "payload_sha256": hashlib.sha256(payload).hexdigest()}
+    return model_file(header, payload)
+
+
+def as_version_1(raw):
+    """The version-1 form of a version-2 SLM1 file: ``format_version`` 1 and
+    the FNV-1a key in place of ``payload_sha256``; nothing else changes."""
+    header, payload = split_model_file(raw)
+    del header["payload_sha256"]
+    return with_checksum({**header, "format_version": 1}, payload)

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,15 @@ def saved(tmp_path_factory):
     cfg = PreprocessConfig(16, 16, 1, 6)
     modelio.save_model(spec, params, cfg, CLASSES, str(path))
     return str(path), spec, params, cfg
+
+
+@pytest.fixture(scope="module")
+def files(saved, tmp_path_factory):
+    """The saved file's path by format version: 2 as written, 1 its version-1 form."""
+    path, *_ = saved
+    old = tmp_path_factory.mktemp("v1") / "model.slm"
+    old.write_bytes(oracles.as_version_1(open(path, "rb").read()))
+    return {1: str(old), 2: path}
 
 
 class TestSave:
@@ -114,28 +127,39 @@ class TestSave:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.slm"]
 
     def test_seeded_cnn3d_file_golden_digest(self, tmp_path):
-        # Digest of the file written before Rng.uniforms was vectorised: the
-        # seeded initial weights and the SLM1 bytes must not change.
+        # The version-1 digest is of the file written before Rng.uniforms was
+        # vectorised: the seeded initial weights and the SLM1 bytes must not
+        # change, and version 2 moves only the version and checksum fields.
         spec = models.build("cnn3d", (35, 64, 64, 1), 4)
         params = models.init_model(spec, Rng(7))
         path = tmp_path / "cnn3d.slm"
         modelio.save_model(spec, params, PreprocessConfig(64, 64, 1, 35), ["a", "b", "c", "d"],
                            str(path))
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "139718d062ea8510e4617fbec9150cdf17e03c209ff96a5dcd6ad332129d0a08"
+        raw = path.read_bytes()
+        digest = hashlib.sha256(raw).hexdigest()
+        assert digest == "f7eec897d1f2edbc0395534fdf78790fb14f8e492a9b2de48965de371e215165"
+        old = oracles.as_version_1(raw)
+        assert (hashlib.sha256(old).hexdigest()
+                == "139718d062ea8510e4617fbec9150cdf17e03c209ff96a5dcd6ad332129d0a08")
+        path.write_bytes(old)
+        _, loaded, _, _ = modelio.load_model(str(path))
+        assert loaded.names() == params.names()
+        for name in params.names():
+            assert loaded[name].data.tobytes() == params[name].data.tobytes(), name
 
 
 class TestLoad:
-    def test_round_trip_bit_identical_params_and_metadata(self, saved):
-        path, spec, params, cfg = saved
-        spec2, params2, cfg2, names2 = modelio.load_model(path)
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_round_trip_bit_identical_params_and_metadata(self, saved, files, version):
+        _, spec, params, cfg = saved
+        spec2, params2, cfg2, names2 = modelio.load_model(files[version])
         assert spec2.architecture == spec.architecture
         assert spec2.input_shape == spec.input_shape
         assert names2 == CLASSES
         assert cfg2.to_dict() == cfg.to_dict()
         assert params2.names() == params.names()
         for name in params.names():
-            assert np.array_equal(params2[name].data, params[name].data)
+            assert params2[name].data.tobytes() == params[name].data.tobytes()
             assert params2.is_trainable(name) == params.is_trainable(name)
 
     def test_round_trip_predictions_bit_identical(self, saved):
@@ -174,24 +198,43 @@ class TestLoad:
             moved = not np.array_equal(params[name].data, before[name])
             assert moved == params.is_trainable(name), name
 
-    def test_reserialization_identical(self, saved, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_reserialization_identical(self, saved, files, tmp_path, version):
+        # A loaded version-1 file is saved again as version 2.
         path, *_ = saved
-        spec2, params2, cfg2, names2 = modelio.load_model(path)
+        spec2, params2, cfg2, names2 = modelio.load_model(files[version])
         again = tmp_path / "resave.slm"
         modelio.save_model(spec2, params2, cfg2, names2, str(again))
         assert again.read_bytes() == open(path, "rb").read()
 
+    def test_version_2_files_never_build_the_fnv_table(self, tmp_path):
+        # A fresh process, so that no earlier test has built the table.
+        env = dict(os.environ, PYTHONPATH=str(Path(modelio.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _V2_ONLY, str(tmp_path / "m.slm")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+
+_V2_ONLY = """
+import sys
+from signet import models, modelio
+from signet.data import PreprocessConfig
+from signet.tensor import Rng
+
+spec = models.build("cnn_td", (6, 16, 16, 1), 2)
+modelio.save_model(spec, models.init_model(spec, Rng(1)), PreprocessConfig(16, 16, 1, 6),
+                   ["a", "b"], sys.argv[1])
+modelio.load_model(sys.argv[1])
+assert modelio._powers.cache_info().currsize == 0
+modelio._fnv1a64(b"a")
+assert modelio._powers.cache_info().currsize == 1
+"""
+
 
 def _with_header(path, mutate) -> bytes:
     """The file at path with its JSON header replaced by mutate(header)."""
-    raw = open(path, "rb").read()
-    (hlen,) = struct.unpack("<I", raw[4:8])
-    header = mutate(json.loads(raw[8 : 8 + hlen]))
-    hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    prefix = b"SLM1" + struct.pack("<I", len(hb)) + hb
-    pad = ((len(prefix) + 7) & ~7) - len(prefix)
-    payload_start = (8 + hlen + 7) & ~7
-    return prefix + b"\x00" * pad + raw[payload_start:]
+    header, payload = oracles.split_model_file(open(path, "rb").read())
+    return oracles.model_file(mutate(header), payload)
 
 
 class TestRejection:
@@ -204,11 +247,30 @@ class TestRejection:
         with pytest.raises(modelio.BadMagicError, match="not a model file"):
             modelio.load_model(str(bad))
 
-    def test_unsupported_version(self, saved, tmp_path):
+    @pytest.mark.parametrize("version", [3, 0, [2]], ids=str)
+    def test_unsupported_version(self, saved, tmp_path, version):
         path, *_ = saved
-        bad = tmp_path / "v2.slm"
-        bad.write_bytes(_with_header(path, lambda h: {**h, "format_version": 2}))
+        bad = tmp_path / "other.slm"
+        bad.write_bytes(_with_header(path, lambda h: {**h, "format_version": version}))
         with pytest.raises(modelio.UnsupportedVersionError):
+            modelio.load_model(str(bad))
+
+    @pytest.mark.parametrize("version, drop, add", [
+        (1, "payload_checksum_fnv1a64", "payload_sha256"),
+        (2, "payload_sha256", "payload_checksum_fnv1a64"),
+        (2, None, "payload_checksum_fnv1a64"),
+    ], ids=["v1_sha256_key", "v2_fnv1a64_key", "v2_both_keys"])
+    def test_checksum_key_of_the_other_version_is_a_format_error(self, files, tmp_path,
+                                                                 version, drop, add):
+        # The added checksum matches the payload; only its key is the other version's.
+        header, payload = oracles.split_model_file(open(files[version], "rb").read())
+        digests = {"payload_sha256": hashlib.sha256(payload).hexdigest(),
+                   "payload_checksum_fnv1a64": f"{modelio._fnv1a64(payload):016x}"}
+        header.pop(drop, None)
+        header[add] = digests[add]
+        bad = tmp_path / "swapped.slm"
+        bad.write_bytes(oracles.model_file(header, payload))
+        with pytest.raises(modelio.ModelFormatError):
             modelio.load_model(str(bad))
 
     @pytest.mark.parametrize(
@@ -231,7 +293,7 @@ class TestRejection:
             ]}] + h["layers"][1:]},
             lambda h: {**h, "preprocess": {**h["preprocess"], "channels": 2}},
             lambda h: {**h, "class_names": "alpha"},
-            lambda h: {k: v for k, v in h.items() if k != "payload_checksum_fnv1a64"},
+            lambda h: {k: v for k, v in h.items() if k != "payload_sha256"},
             lambda h: {**h, "preprocess": {**h["preprocess"], "sequence_length": 10**12}},
             lambda h: {**h, "preprocess": {**h["preprocess"], "sequence_length": 6.0}},
             lambda h: {**h, "layers": [{**d, "trainable": True} if d["kind"] == "flatten" else d
@@ -285,16 +347,10 @@ class TestRejection:
         # Every tensor moves 8 bytes later, with payload and checksum to match:
         # a consistent table, but not the one save_model writes.
         path, *_ = saved
-        raw = open(path, "rb").read()
-        (hlen,) = struct.unpack("<I", raw[4:8])
-        payload = b"\x00" * 8 + raw[(8 + hlen + 7) & ~7 :]
-        rewritten = _with_header(path, lambda h: {
-            **h,
-            "tensors": [{**e, "offset": e["offset"] + 8} for e in h["tensors"]],
-            "payload_checksum_fnv1a64": f"{modelio._fnv1a64(payload):016x}",
-        })
+        header, payload = oracles.split_model_file(open(path, "rb").read())
+        header["tensors"] = [{**e, "offset": e["offset"] + 8} for e in header["tensors"]]
         bad = tmp_path / "shifted.slm"
-        bad.write_bytes(rewritten[: len(rewritten) - len(payload) + 8] + payload)
+        bad.write_bytes(oracles.with_checksum(header, b"\x00" * 8 + payload))
         with pytest.raises(modelio.IncompatibleModelError):
             modelio.load_model(str(bad))
 
@@ -306,9 +362,9 @@ class TestRejection:
         with pytest.raises(modelio.TruncatedPayloadError):
             modelio.load_model(str(bad))
 
-    def test_single_corrupted_payload_byte_detected(self, saved, tmp_path):
-        path, *_ = saved
-        raw = bytearray(open(path, "rb").read())
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_single_corrupted_payload_byte_detected(self, files, tmp_path, version):
+        raw = bytearray(open(files[version], "rb").read())
         raw[-3] ^= 0x40
         bad = tmp_path / "flip.slm"
         bad.write_bytes(bytes(raw))
@@ -317,14 +373,10 @@ class TestRejection:
 
     def test_non_finite_payload_is_a_format_error(self, saved, tmp_path):
         path, *_ = saved
-        raw = open(path, "rb").read()
-        (hlen,) = struct.unpack("<I", raw[4:8])
-        payload = bytearray(raw[(8 + hlen + 7) & ~7 :])
-        payload[-4:] = struct.pack("<f", float("nan"))
-        checksum = f"{modelio._fnv1a64(bytes(payload)):016x}"
-        rewritten = _with_header(path, lambda h: {**h, "payload_checksum_fnv1a64": checksum})
+        header, payload = oracles.split_model_file(open(path, "rb").read())
+        payload = payload[:-4] + struct.pack("<f", float("nan"))
         bad = tmp_path / "nan.slm"
-        bad.write_bytes(rewritten[: -len(payload)] + bytes(payload))
+        bad.write_bytes(oracles.with_checksum(header, payload))
         with pytest.raises(modelio.ModelFormatError, match="non-finite"):
             modelio.load_model(str(bad))
 
@@ -335,11 +387,8 @@ class TestRejection:
         spec = models.build("cnn_td", (2, side, side, 1), 4)
         header, _ = modelio._header(spec, PreprocessConfig(side, side, 1, 2), CLASSES)
         payload = bytes(min(modelio._payload_size(header["tensors"]), 1 << 16))
-        header["payload_checksum_fnv1a64"] = f"{modelio._fnv1a64(payload):016x}"
-        hb = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        prefix = b"SLM1" + struct.pack("<I", len(hb)) + hb
         bad = tmp_path / "huge.slm"
-        bad.write_bytes(prefix + bytes(((len(prefix) + 7) & ~7) - len(prefix)) + payload)
+        bad.write_bytes(oracles.with_checksum(header, payload))
         with pytest.raises(modelio.ModelFormatError):
             modelio.load_model(str(bad))
         rc = cli.main(["grade", "--model", str(bad), "--clip", str(tmp_path / "none")])
@@ -390,11 +439,11 @@ class TestChecksum:
 class TestFileFuzz:
     """Damaged model files make load_model raise ModelFormatError and nothing else."""
 
+    @pytest.mark.parametrize("version", [1, 2])
     @settings(max_examples=250, deadline=None, derandomize=True)
     @given(st.data())
-    def test_single_byte_mutations(self, saved, tmp_path_factory, draw):
-        path, *_ = saved
-        raw = bytearray(open(path, "rb").read())
+    def test_single_byte_mutations(self, files, tmp_path_factory, version, draw):
+        raw = bytearray(open(files[version], "rb").read())
         (hlen,) = struct.unpack("<I", raw[4:8])
         # Half the draws land in the magic, length or JSON header, which the
         # payload checksum does not cover.
@@ -407,11 +456,11 @@ class TestFileFuzz:
         except modelio.ModelFormatError:
             pass
 
+    @pytest.mark.parametrize("version", [1, 2])
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.data())
-    def test_truncations(self, saved, tmp_path_factory, draw):
-        path, *_ = saved
-        raw = open(path, "rb").read()
+    def test_truncations(self, files, tmp_path_factory, version, draw):
+        raw = open(files[version], "rb").read()
         cut = draw.draw(st.integers(0, len(raw) - 1))
         short = tmp_path_factory.getbasetemp() / "truncated.slm"
         short.write_bytes(raw[:cut])

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from signet import modelio, models, nn, train, tensor as tn
 from signet.data import PreprocessConfig
 from signet.tensor import Rng, ShapeError, Tensor
@@ -181,13 +182,15 @@ class TestDeterminism:
 class TestGoldenDigests:
     """Model bytes, outputs and one training step pinned before the layer registry.
 
-    Each case lists the sha256 of the saved SLM1 file, the sha256 of the
-    ``predict_probs`` bytes, the float32 loss bytes of one taped step, the
-    sha256 of the trainable gradients in store order, and the tape length.
+    Each case lists the sha256 of the saved SLM1 file, the sha256 of its
+    version-1 form (the file as written before format version 2), the sha256
+    of the ``predict_probs`` bytes, the float32 loss bytes of one taped step,
+    the sha256 of the trainable gradients in store order, and the tape length.
     """
 
     CASES = {
         ("cnn_lstm", False): (
+            "dc17586294c522b6dae7f3f0dfc4cbaababcc92dff7cde4caeeeb2af89dcf068",
             "a093efec72f3394947cd57aa4716f1fd76f8e04e7363fb21b0040a47bf41085c",
             "82964f08ae22d69c0efd112e1c648fd189a68b9d2e802e8a56f939577191dd01",
             "2a667e3f",
@@ -195,6 +198,7 @@ class TestGoldenDigests:
             111,
         ),
         ("cnn3d", False): (
+            "863169a57b00606ea29c85ebf2e8d79b440d5cc97d5d75181487b79228b8fee5",
             "e85b6dcd1ecf12c76b6cbdd9063b17a9195f5314bc0ba8a9c61db4ea7c542a65",
             "0efda70d12d3d0e28ca30c75284b3e3198eee364519ac19a449cb46135582c31",
             "a66d9a3f",
@@ -202,6 +206,7 @@ class TestGoldenDigests:
             29,
         ),
         ("cnn_rnn_lstm", False): (
+            "254db855327f9460e1b12ae8ee7fa8dfb14863a1509b3de37a79091bb7d1ecbd",
             "2372dff9015ac71dcc1bd80f7f068e439a3e3e7238d575ca243c992ee4689a7e",
             "7e7b750d3dc922a89d0625fcfae94d3d3b1eb517459f26f7da77a786e1e0f9bb",
             "585fa73f",
@@ -209,6 +214,7 @@ class TestGoldenDigests:
             156,
         ),
         ("cnn_rnn_lstm", True): (
+            "000d45aa0b006e2cd6fc10a8fbdd3adba2b03e18018621366866133003a19c7b",
             "7d67d160a9a958f741ebb4960c5d9fcaeef7f622f93c48c8db79fd31e0d933d8",
             "7e7b750d3dc922a89d0625fcfae94d3d3b1eb517459f26f7da77a786e1e0f9bb",
             "585fa73f",
@@ -216,6 +222,7 @@ class TestGoldenDigests:
             241,
         ),
         ("cnn_td", False): (
+            "d6d22bb8f87ba43cee350b5d65deef29c60f566c3f494284efab7412ec768ec2",
             "a0b75738719788e929983e39d3720104ea5bcda19b989a9c748197f47ae3cf9a",
             "c9e3cf5636a535c8d492cd3926f12c6da80b094f6f957fb91a8c6cd2d1e881bc",
             "5efc813f",
@@ -244,6 +251,7 @@ class TestGoldenDigests:
                 grads.update(tape.grads[t].tobytes())
         got = (
             hashlib.sha256(path.read_bytes()).hexdigest(),
+            hashlib.sha256(oracles.as_version_1(path.read_bytes())).hexdigest(),
             hashlib.sha256(probs.tobytes()).hexdigest(),
             loss.data.tobytes().hex(),
             grads.hexdigest(),

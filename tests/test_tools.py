@@ -59,3 +59,17 @@ def test_bench_pairs_reads_a_durations_log(tmp_path):
     assert got == {"passed": 646, "wall_s": 180.87, "slowest": [
         "118.89s setup    tests/a.py::t", "17.56s call     tests/b.py::t",
         "11.00s setup    tests/c.py::t"]}
+
+
+def test_bench_pairs_environment_records_blas_and_numpy_dispatch(monkeypatch):
+    monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", "AVX512_SPR")
+    info = {"blas": "scipy-openblas", "blas_threads": 2, "numpy": "2.4.6", "nproc": 2}
+    env = _bench_pairs().environment(info)
+    assert set(env) == {"blas", "blas_threads", "blas_core", "numpy", "python", "nproc",
+                        "numpy_cpu_baseline", "numpy_cpu_dispatch", "numpy_cpu_features",
+                        "NPY_DISABLE_CPU_FEATURES"}
+    assert {k: env[k] for k in info} == info
+    assert env["NPY_DISABLE_CPU_FEATURES"] == "AVX512_SPR"
+    for key in ("numpy_cpu_baseline", "numpy_cpu_dispatch", "numpy_cpu_features"):
+        assert all(isinstance(name, str) for name in env[key]), key
+    assert set(env["numpy_cpu_baseline"]) <= set(env["numpy_cpu_features"])

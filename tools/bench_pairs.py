@@ -16,9 +16,12 @@ The file records every run's end-to-end metrics, and per metric each side's
 median and IQR (numpy's linear percentiles), the change's median over the
 parent's, and the pairs the change won in the metric's better direction.
 The environment holds the BLAS name, thread count and core name (read
-through ctypes from the OpenBLAS numpy loads), numpy and Python versions and
-nproc. ``--tier1-log`` adds the pass count, wall time and slowest three
-entries of a ``pytest --durations`` log of the change.
+through ctypes from the OpenBLAS numpy loads), numpy and Python versions,
+nproc, and numpy's SIMD dispatch: its baseline, its dispatch targets, the
+CPU features it enables and ``NPY_DISABLE_CPU_FEATURES``, all of which the
+bits of a training step, and so ``train_loss``, can depend on.
+``--tier1-log`` adds the pass count, wall time and slowest three entries of
+a ``pytest --durations`` log of the change.
 """
 
 from __future__ import annotations
@@ -80,6 +83,21 @@ def blas_core() -> str | None:
     return None
 
 
+def environment(info: dict) -> dict:
+    """The BENCH environment record, from a run's info line and from numpy in
+    this process, whose interpreter and environment the runs inherit."""
+    from numpy._core import _multiarray_umath as umath
+
+    return {
+        "blas": info["blas"], "blas_threads": info["blas_threads"], "blas_core": blas_core(),
+        "numpy": info["numpy"], "python": platform.python_version(), "nproc": info["nproc"],
+        "numpy_cpu_baseline": list(umath.__cpu_baseline__),
+        "numpy_cpu_dispatch": list(umath.__cpu_dispatch__),
+        "numpy_cpu_features": [name for name, on in umath.__cpu_features__.items() if on],
+        "NPY_DISABLE_CPU_FEATURES": os.environ.get("NPY_DISABLE_CPU_FEATURES"),
+    }
+
+
 def tier1(log_path: str) -> dict:
     with open(log_path) as fh:
         text = fh.read()
@@ -128,11 +146,7 @@ def main(argv=None) -> int:
                 metrics = run["result"]["metrics"]
                 print(f"{workload} seed {seed} {side}: " + ", ".join(
                     f"{name} {m['value']:.4g}" for name, m in metrics.items()), flush=True)
-        info = runs["change"][0]["info"]
-        report["environment"] = {
-            "blas": info["blas"], "blas_threads": info["blas_threads"],
-            "blas_core": blas_core(), "numpy": info["numpy"], "python": platform.python_version(),
-            "nproc": info["nproc"]}
+        report["environment"] = environment(runs["change"][0]["info"])
         metrics = {}
         for m in bench["end_to_end"]:
             values = {side: [r["result"]["metrics"][m["name"]]["value"] for r in runs[side]]
