@@ -41,11 +41,17 @@ of powers of the FNV prime, built on the first version-1 checksum.
 One function, ``_header``, decides every header field but the checksum
 from the model spec, the preprocess config, the class names and the format
 version, and the preprocess config must produce clips of the spec's input
-shape. ``save_model`` writes that header. ``load_model`` rebuilds the spec
-from the few fields the builders read and accepts the file only if the
-stored header equals ``_header`` of what it rebuilt, at the file's own
-version, so it loads exactly the files ``save_model`` writes and their
-version-1 forms.
+shape. One function, ``_prefix``, encodes a header as every byte before the
+payload: the magic, the length, the JSON and the padding. ``save_model``
+writes ``_prefix`` of its header, then the payload. ``load_model`` rebuilds
+the spec from the five fields the builders read, and accepts a file only if
+every byte before its payload is what ``save_model`` writes for the rebuilt
+model at the file's version, the file's own checksum value included. So it
+loads exactly the files ``save_model`` writes and their version-1 forms.
+Every rejection is a ``ModelFormatError``: bytes before the payload that
+differ refine it to ``IncompatibleModelError``, and a checksum that does
+not match the payload, a malformed checksum string included, to
+``ChecksumError``.
 """
 
 from __future__ import annotations
@@ -56,7 +62,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import secrets
 import struct
 
@@ -185,23 +190,11 @@ def _is_int_list(v) -> bool:
     return isinstance(v, list) and all(_is_int(x) for x in v)
 
 
-# Each readable format version: its checksum's header key, the checksum of a
-# payload as lowercase hex, and that hex string's length.
+# Each readable format version: its checksum's header key and the checksum
+# of a payload as lowercase hex.
 _CHECKSUMS = {
-    1: ("payload_checksum_fnv1a64", lambda data: f"{_fnv1a64(data):016x}", 16),
-    2: ("payload_sha256", lambda data: hashlib.sha256(data).hexdigest(), 64),
-}
-
-
-# The header fields the builders read: their JSON types, and the hex string
-# of the file's checksum key, are checked before any is used. Every other
-# field is compared with _header.
-_HEADER_FIELDS = {
-    "architecture": lambda v: isinstance(v, str),
-    "input_shape": _is_int_list,
-    "num_classes": _is_int,
-    "class_names": lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
-    "feature_extractor_trainable": lambda v: isinstance(v, bool),
+    1: ("payload_checksum_fnv1a64", lambda data: f"{_fnv1a64(data):016x}"),
+    2: ("payload_sha256", lambda data: hashlib.sha256(data).hexdigest()),
 }
 
 
@@ -248,6 +241,15 @@ def _payload_size(table: list[dict]) -> int:
     return table[-1]["offset"] + table[-1]["length"] if table else 0
 
 
+def _prefix(header: dict) -> bytes:
+    """Every byte of a file before its payload: the magic, the header length,
+    the header as sorted, unspaced UTF-8 JSON, and zero bytes to the next
+    multiple of 8."""
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    prefix = MAGIC + struct.pack("<I", len(text)) + text
+    return prefix + bytes(_align8(len(prefix)) - len(prefix))
+
+
 def save_model(
     spec: ModelSpec,
     params: ParameterStore,
@@ -280,20 +282,14 @@ def save_model(
                 f"parameter {plan.name!r} has shape {t.shape}, expected {plan.shape}"
             )
         payload[entry["offset"] : entry["offset"] + entry["length"]] = t.data.astype("<f4").tobytes()
-    key, checksum, _ = _CHECKSUMS[FORMAT_VERSION]
+    key, checksum = _CHECKSUMS[FORMAT_VERSION]
     header[key] = checksum(payload)
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    prefix_len = len(MAGIC) + 4 + len(header_bytes)
-    pad = _align8(prefix_len) - prefix_len
 
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(header_bytes)))
-            fh.write(header_bytes)
-            fh.write(b"\x00" * pad)
+            fh.write(_prefix(header))
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
@@ -305,15 +301,16 @@ def save_model(
 def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, list[str]]:
     """Read an SLM1 file back into (spec, params, preprocess, class_names).
 
-    Checks the magic and the format version (1 or 2), then parses the header
-    fields the builders read and rebuilds the model from them. The file is
-    accepted only if its header, checksum aside, equals the one ``save_model``
-    writes for that model, its preprocess config and its class names at the
-    file's version; the tensors are read at the offsets of that header. Then
-    the payload must be long enough, match the version's checksum (which
-    every file must carry) or raise ``ChecksumError``, and hold only finite
-    weights. Rejected contents raise a ``ModelFormatError``; a file
-    that cannot be read raises ``OSError``.
+    Checks the magic and the format version (1 or 2), then reads the five
+    header fields the builders read and rebuilds the model from them. The
+    one rule for the header: every byte before the payload must be what
+    ``save_model`` writes for that model, its preprocess config and its
+    class names at the file's version, with the file's own checksum value,
+    or the file is rejected with ``IncompatibleModelError``. The tensors are
+    read at the offsets of that header. Then the payload must be long
+    enough, match the version's checksum (which every file must carry) or
+    raise ``ChecksumError``, and hold only finite weights. Every rejection
+    is a ``ModelFormatError``; a file that cannot be read raises ``OSError``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -332,39 +329,32 @@ def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, 
     version = header.get("format_version")
     if not _is_int(version) or version not in _CHECKSUMS:
         raise UnsupportedVersionError(f"{path}: unsupported format version {version!r}")
-    key, checksum, digits = _CHECKSUMS[version]
+    key, checksum = _CHECKSUMS[version]
 
-    fields = {**_HEADER_FIELDS,
-              key: lambda v: isinstance(v, str) and re.fullmatch(f"[0-9a-f]{{{digits}}}", v)}
-    for field, valid in fields.items():
-        if field not in header:
-            raise ModelFormatError(f"{path}: header missing {field!r}")
-        if not valid(header[field]):
-            raise ModelFormatError(f"{path}: header field {field!r} has the wrong type")
-
-    class_names = header["class_names"]
     try:
         spec = models.build(
-            header["architecture"],
-            tuple(header["input_shape"]),
-            header["num_classes"],
-            feature_extractor_trainable=header["feature_extractor_trainable"],
+            str(header["architecture"]),
+            tuple(int(n) for n in header["input_shape"]),
+            int(header["num_classes"]),
+            feature_extractor_trainable=bool(header["feature_extractor_trainable"]),
         )
-        preprocess = PreprocessConfig(**header.get("preprocess"))
+        class_names = [str(c) for c in header["class_names"]]
+        preprocess = PreprocessConfig(**header["preprocess"])
         expected, plans = _header(spec, preprocess, class_names, version)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise IncompatibleModelError(f"{path}: header rejected by the builders: {exc}") from exc
+        prefix = _prefix({**expected, key: header.get(key)})
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise IncompatibleModelError(f"{path}: header rejected by the builders: {exc!r}") from exc
     if len(class_names) != spec.num_classes:
         raise IncompatibleModelError(
             f"{path}: {len(class_names)} class names for {spec.num_classes} classes"
         )
-    if {k: v for k, v in header.items() if k != key} != expected:
+    if not data.startswith(prefix):
         raise IncompatibleModelError(
             f"{path}: header differs from the one save_model writes for this "
             f"{spec.architecture} model"
         )
 
-    payload = memoryview(data)[_align8(8 + header_len) :]
+    payload = memoryview(data)[len(prefix) :]
     table = expected["tensors"]
     if len(payload) < _payload_size(table):
         raise TruncatedPayloadError(f"{path}: payload too short for its tensor table")

@@ -571,8 +571,12 @@ def softmax(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    if math.prod(shape) != a.numel:
+    """``a`` with extents ``shape``: integers of at least 1 whose product is ``a.numel``."""
+    try:
+        shape = tuple(operator.index(s) for s in shape)
+    except TypeError as exc:
+        raise ShapeError(f"cannot reshape {a.shape} to {shape}: {exc}") from None
+    if min(shape, default=1) < 1 or math.prod(shape) != a.numel:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
     ash = a.shape
 

@@ -99,7 +99,7 @@ class TestSave:
                 self.fh.close()
 
             def write(self, chunk):
-                if len(writes) == 2:  # magic and header length are down
+                if writes:  # the prefix is down
                     raise OSError("disk full")
                 writes.append(chunk)
                 return self.fh.write(chunk)
@@ -237,6 +237,16 @@ def _with_header(path, mutate) -> bytes:
     return oracles.model_file(mutate(header), payload)
 
 
+def _assert_rejected(path, tmp_path, capsys):
+    """load_model raises ModelFormatError, and predict exits 1 with one error line."""
+    with pytest.raises(modelio.ModelFormatError):
+        modelio.load_model(str(path))
+    rc = cli.main(["predict", "--model", str(path), "--clip", str(tmp_path / "none")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1, err
+
+
 class TestRejection:
     def test_bad_magic(self, saved, tmp_path):
         path, *_ = saved
@@ -302,12 +312,17 @@ class TestRejection:
             lambda h: {**h, "input_shape": [6, 3, 3, 1]},
             lambda h: {**h, "architecture": "cnn_rnn_lstm", "input_shape": []},
             lambda h: {**h, "architecture": "cnn_rnn_lstm", "input_shape": [1, 16, 16, 1]},
+            lambda h: {**h, "tensors": [{**e, "offset": float(e["offset"])}
+                                        for e in h["tensors"]]},
+            lambda h: {**h, "layers": [{**d, "units": float(d["units"])} if d["kind"] == "dense"
+                                       else d for d in h["layers"]]},
         ],
         ids=["array", "no_offset", "str_length", "tensors_object", "unknown_arch",
              "int_input_shape", "zero_extent", "huge_extent", "layer_not_object",
              "unknown_layer_key", "stride_key", "bad_preprocess", "str_class_names",
              "no_checksum", "preprocess_mismatch", "float_preprocess", "redundant_layer_key",
-             "no_extractor_flag", "too_small_input", "empty_input_shape", "one_frame_rnn"],
+             "no_extractor_flag", "too_small_input", "empty_input_shape", "one_frame_rnn",
+             "float_offset", "float_units"],
     )
     def test_malformed_header_is_a_format_error(self, saved, tmp_path, capsys, mutate):
         path, *_ = saved
@@ -318,6 +333,40 @@ class TestRejection:
         rc = cli.main(["predict", "--model", str(bad), "--clip", str(tmp_path / "none")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_integer_for_a_layer_flag_is_a_format_error(self, tmp_path, capsys):
+        # JSON 1 equals true once parsed, but save_model never writes it.
+        spec = models.build("cnn_rnn_lstm", SMALL, 4)
+        header, _ = modelio._header(spec, PreprocessConfig(16, 16, 1, 6), CLASSES)
+        payload = bytes(modelio._payload_size(header["tensors"]))
+        good = tmp_path / "good.slm"
+        good.write_bytes(oracles.with_checksum(header, payload))
+        modelio.load_model(str(good))
+        header["layers"] = [{**d, "return_sequences": 1} if d["kind"] == "simple_rnn" else d
+                            for d in header["layers"]]
+        bad = tmp_path / "bad.slm"
+        bad.write_bytes(oracles.with_checksum(header, payload))
+        _assert_rejected(bad, tmp_path, capsys)
+
+    @pytest.mark.parametrize("case", ["nonzero_padding", "spaced_json", "duplicate_key"])
+    def test_header_bytes_save_model_never_writes_are_a_format_error(self, saved, tmp_path,
+                                                                     capsys, case):
+        # Each of these files parses to the saved file's header and payload.
+        path, *_ = saved
+        header, payload = oracles.split_model_file(open(path, "rb").read())
+        canonical = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        text = {
+            "nonzero_padding": canonical,
+            "spaced_json": json.dumps(header, sort_keys=True).encode(),
+            "duplicate_key": b'{"architecture":"cnn_td",' + canonical[1:],
+        }[case]
+        pad = bytearray((-len(text)) % 8)
+        if case == "nonzero_padding":
+            pad[0] = 1
+        bad = tmp_path / "bad.slm"
+        bad.write_bytes(b"SLM1" + struct.pack("<I", len(text)) + text + pad + payload)
+        assert oracles.split_model_file(bad.read_bytes()) == (header, payload)
+        _assert_rejected(bad, tmp_path, capsys)
 
     @pytest.mark.parametrize("nested", ["array", "layers"])
     def test_deeply_nested_header_is_a_format_error(self, saved, tmp_path, capsys, nested):
@@ -443,18 +492,28 @@ class TestFileFuzz:
     @settings(max_examples=250, deadline=None, derandomize=True)
     @given(st.data())
     def test_single_byte_mutations(self, files, tmp_path_factory, version, draw):
+        # A mutated file that loads must be what save_model writes for the
+        # model it loads as (a class-name flip, say, since the checksum covers
+        # only the payload). Draws land in the magic, length or JSON header, in
+        # the padding, or anywhere.
         raw = bytearray(open(files[version], "rb").read())
         (hlen,) = struct.unpack("<I", raw[4:8])
-        # Half the draws land in the magic, length or JSON header, which the
-        # payload checksum does not cover.
-        pos = draw.draw(st.one_of(st.integers(0, 8 + hlen - 1), st.integers(0, len(raw) - 1)))
+        end = ((8 + hlen + 7) & ~7) - 1
+        pos = draw.draw(st.one_of(st.integers(0, 8 + hlen - 1), st.integers(8 + hlen, end),
+                                  st.integers(0, len(raw) - 1)))
         raw[pos] ^= draw.draw(st.integers(1, 255))
-        mutated = tmp_path_factory.getbasetemp() / "mutated.slm"
+        base = tmp_path_factory.getbasetemp()
+        mutated = base / "mutated.slm"
         mutated.write_bytes(bytes(raw))
         try:
-            modelio.load_model(str(mutated))
+            loaded = modelio.load_model(str(mutated))
         except modelio.ModelFormatError:
-            pass
+            return
+        assert not 8 + hlen <= pos <= end, "a padding byte flip loaded"
+        spec, params, cfg, names = loaded
+        modelio.save_model(spec, params, cfg, names, str(base / "resaved.slm"))
+        again = (base / "resaved.slm").read_bytes()
+        assert (again if version == 2 else oracles.as_version_1(again)) == bytes(raw)
 
     @pytest.mark.parametrize("version", [1, 2])
     @settings(max_examples=100, deadline=None, derandomize=True)

@@ -179,6 +179,12 @@ class TestTensorBasics:
         with pytest.raises(ShapeError):
             tn.narrow(t32(np.ones((3, 4))), axis, 0, 1)
 
+    @pytest.mark.parametrize("shape", [(-2, -2), (-1, -4), (4, 1.5), (2, 3)],
+                             ids=["negative", "negative_wildcard", "float", "size"])
+    def test_reshape_rejects_extents_other_than_positive_integers(self, shape):
+        with pytest.raises(ShapeError):
+            tn.reshape(t32(np.arange(4)), shape)
+
     AXIS_OPS = {
         "narrow": lambda x, axis: tn.narrow(x, axis, 0, 1),
         "reduce_sum": lambda x, axis: tn.reduce_sum(x, axis=axis),
