@@ -1,3 +1,4 @@
+import hashlib
 import os
 import re
 
@@ -160,6 +161,26 @@ class TestGenerateSynthetic:
                 with open(os.path.join(b, rel, name), "rb") as fh:
                     bytes_b = fh.read()
                 assert bytes_a == bytes_b
+
+    def test_every_pattern_golden_digest(self, tmp_path):
+        # sha256 over (relative path, bytes) of the whole corpus: all eight
+        # motion patterns on a non-square frame, so any change to a
+        # trajectory's float arithmetic moves a pixel and the digest.
+        root = tmp_path / "corpus"
+        assert data.generate_synthetic(str(root), 8, 2, frames=9, size=(20, 28), seed=5) == 16
+        digest = hashlib.sha256()
+        for dirpath, dirs, files in os.walk(root):
+            dirs.sort()
+            for name in sorted(files):
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, root).replace(os.sep, "/")
+                with open(path, "rb") as fh:
+                    body = fh.read()
+                digest.update(b"%d:%s%d:" % (len(rel), rel.encode(), len(body)))
+                digest.update(body)
+        assert digest.hexdigest() == (
+            "6ba1c50a6a2f54800bd627ff8c80d08b26883eab887d74042add49998699a13f"
+        )
 
     def test_too_many_classes_rejected(self, tmp_path):
         with pytest.raises(DatasetError):

@@ -115,6 +115,23 @@ class TestRendering:
         assert lines[-1].startswith("macro avg")
         assert all(cell.endswith("%") for cell in lines[1].split()[1:])
 
+    def test_report_golden_text(self):
+        # A name wider than "macro avg" sets the name column; "thumbs" is
+        # never predicted, so its precision and F1 are 0/0 cells.
+        truth = [0, 0, 1, 1, 1, 2, 3, 3, 3]
+        pred = [0, 1, 1, 1, 0, 1, 3, 3, 0]
+        names = ["wave", "flat_hand_circle", "thumbs", "pinch"]
+        report = metrics.classification_report(metrics.confusion_matrix(truth, pred, names))
+        assert metrics.render_report(report) == (
+            "Sign              Precision     Recall   F1-Score\n"
+            "wave                    33%        50%        40%\n"
+            "flat_hand_circle        50%        67%        57%\n"
+            "thumbs                   0%         0%         0%\n"
+            "pinch                  100%        67%        80%\n"
+            "accuracy                                      56%\n"
+            "macro avg               46%        46%        44%\n"
+        )
+
     def test_rendered_percentages_reparse_close(self):
         rng = np.random.default_rng(8)
         truth = rng.integers(0, 3, 60)
