@@ -294,30 +294,29 @@ MOTION_PATTERNS = (
 )
 
 
+# Signs (dy, dx) of the straight-line motions: the blob crosses its span
+# along each axis whose sign is not 0, in that sign's direction.
+_LINES = {"sweep_right": (0, 1), "sweep_left": (0, -1), "sweep_down": (1, 0),
+          "sweep_up": (-1, 0), "diagonal": (1, 1)}
+# Sign of each circle's turning angle.
+_TURNS = {"circle": 1, "circle_reverse": -1}
+
+
 def _trajectory(pattern: str, phase: float, h: int, w: int, jx: float, jy: float,
                 spin: float) -> tuple[float, float]:
     """Center (y, x) of the moving blob at clip phase in [0, 1]."""
     cy, cx = h / 2.0 + jy, w / 2.0 + jx
     span_y, span_x = h * 0.32, w * 0.32
-    if pattern == "sweep_right":
-        return cy, cx - span_x + 2 * span_x * phase
-    if pattern == "sweep_left":
-        return cy, cx + span_x - 2 * span_x * phase
-    if pattern == "sweep_down":
-        return cy - span_y + 2 * span_y * phase, cx
-    if pattern == "sweep_up":
-        return cy + span_y - 2 * span_y * phase, cx
-    if pattern == "circle":
-        a = 2 * np.pi * (phase + spin)
-        return cy + span_y * np.sin(a), cx + span_x * np.cos(a)
-    if pattern == "circle_reverse":
-        a = -2 * np.pi * (phase + spin)
+    if pattern in _LINES:
+        dy, dx = _LINES[pattern]
+        return (cy - dy * span_y + 2 * dy * span_y * phase,
+                cx - dx * span_x + 2 * dx * span_x * phase)
+    if pattern in _TURNS:
+        a = _TURNS[pattern] * 2 * np.pi * (phase + spin)
         return cy + span_y * np.sin(a), cx + span_x * np.cos(a)
     if pattern == "zigzag":
         tri = abs((phase * 3.0) % 2.0 - 1.0)  # three half-cycles
         return cy - span_y + 2 * span_y * tri, cx - span_x + 2 * span_x * phase
-    if pattern == "diagonal":
-        return cy - span_y + 2 * span_y * phase, cx - span_x + 2 * span_x * phase
     raise DatasetError(f"unknown motion pattern {pattern!r}")
 
 

@@ -104,29 +104,24 @@ def percent(rate: float) -> int:
 
 
 def render_report(report: ClassificationReport) -> str:
-    """Text table: one row per class, then accuracy and macro-average rows."""
-    name_width = max(len("Sign"), max(len(n) for n in report.class_names), len("macro avg"))
+    """Text table: one row per class, then accuracy and macro-average rows.
+
+    A row is the name column, then one right-aligned cell per rate: its
+    percentage, or blank for None.
+    """
+    width = max(len("Sign"), len("macro avg"), *(len(n) for n in report.class_names))
     col = 11
-    buf = io.StringIO()
-    buf.write(
-        f"{'Sign':<{name_width}}"
-        f"{'Precision':>{col}}{'Recall':>{col}}{'F1-Score':>{col}}\n"
-    )
-    for i, name in enumerate(report.class_names):
-        buf.write(
-            f"{name:<{name_width}}"
-            f"{percent(report.precision[i]):>{col - 1}}%"
-            f"{percent(report.recall[i]):>{col - 1}}%"
-            f"{percent(report.f1[i]):>{col - 1}}%\n"
-        )
-    buf.write(f"{'accuracy':<{name_width}}{'':>{col}}{'':>{col}}{percent(report.accuracy):>{col - 1}}%\n")
-    buf.write(
-        f"{'macro avg':<{name_width}}"
-        f"{percent(report.macro_precision):>{col - 1}}%"
-        f"{percent(report.macro_recall):>{col - 1}}%"
-        f"{percent(report.macro_f1):>{col - 1}}%\n"
-    )
-    return buf.getvalue()
+
+    def row(name, *rates):
+        cells = ("" if r is None else f"{percent(r)}%" for r in rates)
+        return f"{name:<{width}}" + "".join(f"{c:>{col}}" for c in cells) + "\n"
+
+    return "".join([
+        f"{'Sign':<{width}}{'Precision':>{col}}{'Recall':>{col}}{'F1-Score':>{col}}\n",
+        *map(row, report.class_names, report.precision, report.recall, report.f1),
+        row("accuracy", None, None, report.accuracy),
+        row("macro avg", report.macro_precision, report.macro_recall, report.macro_f1),
+    ])
 
 
 def render_matrix(cm: ConfusionMatrix) -> str:

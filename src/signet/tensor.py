@@ -5,7 +5,7 @@ float64 tensors gives a high-precision mode used for gradient checking.
 Every kernel validates shapes up front and raises ``NonFiniteError`` if an
 output contains NaN/Inf, so bad values never propagate silently into
 training. Tensors hold no gradients: gradients land in ``tape.grads``, a
-dict the caller may pass to ``record`` so that several tapes fold into it.
+dict the caller may pass to ``Tape`` so that several tapes fold into it.
 
 A forward computes only what its output needs. Its ``bw`` reads the inputs
 its tape node already holds, and what the forward built on the way, such as
@@ -53,7 +53,6 @@ __all__ = [
     "Rng",
     "Tensor",
     "Tape",
-    "record",
     "add",
     "sub",
     "mul",
@@ -318,7 +317,8 @@ class _Node:
 class Tape:
     """Ordered record of operations for one reverse pass.
 
-    Nodes are appended in execution order, which is a topological order by
+    Open one as ``with Tape(grads, held) as tape:``; both dicts are
+    optional. Nodes are appended in execution order, which is a topological order by
     construction; ``backward`` walks them once, in reverse. Gradients land
     in ``grads``, a dict from tensor to array: the caller's, or a fresh one.
     After the pass it holds the leaves only: the tensors no node on this
@@ -396,11 +396,6 @@ class Tape:
 def _fold(grads: dict, t: Tensor, g: np.ndarray) -> None:
     """The one summation rule: a first contribution is stored as is, later ones are added."""
     grads[t] = g if t not in grads else grads[t] + g
-
-
-def record(grads: dict | None = None, held: dict | None = None) -> Tape:
-    """Open a fresh tape folding into ``grads``; use as ``with record() as tape:``."""
-    return Tape(grads, held)
 
 
 def _result(data: np.ndarray, inputs: tuple, bw, op: str) -> Tensor:
@@ -953,7 +948,7 @@ def grad_check(f, x: Tensor, step: float = 1e-3) -> float:
     float64 ``x`` for meaningful tolerances.
     """
     probe = Tensor(x.data.copy(), requires_grad=True)
-    with record() as tape:
+    with Tape() as tape:
         y = f(probe)
     if not isinstance(y, Tensor) or y.numel != 1:
         raise TapeError("grad_check needs a scalar-valued function")

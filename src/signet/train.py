@@ -225,7 +225,7 @@ def _clip_steps(spec, params, clips, num_classes, batch_size, grads, held) -> li
     inv = 1.0 / batch_size  # batch loss = mean over clips
     outcomes = []
     for sample in clips:
-        with tn.record(grads, held) as tape:
+        with tn.Tape(grads, held) as tape:
             loss, hit = _clip_loss(spec, params, sample, num_classes)
             scaled = tn.scale(loss, inv)
         tape.backward(scaled)

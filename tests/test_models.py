@@ -240,7 +240,7 @@ class TestGoldenDigests:
                            str(path))
         clip = np.random.default_rng(0).uniform(0, 1, SMALL).astype(np.float32)
         probs = models.predict_probs(spec, params, clip)
-        with tn.record() as tape:
+        with tn.Tape() as tape:
             out = models.forward(spec, params, Tensor(clip))
             truth = np.eye(3, dtype=np.float32)[[1]]
             loss = train.categorical_crossentropy(tn.reshape(out, (1, 3)), truth)
@@ -271,7 +271,7 @@ def test_tape_records_nothing_backward_never_reads(arch, trainable):
     spec = models.build(arch, SMALL, 3, feature_extractor_trainable=trainable)
     params = models.init_model(spec, Rng(5))
     clip = np.random.default_rng(0).uniform(0, 1, SMALL).astype(np.float32)
-    with tn.record() as tape:
+    with tn.Tape() as tape:
         out = models.forward(spec, params, Tensor(clip))
         truth = np.eye(3, dtype=np.float32)[[1]]
         loss = train.categorical_crossentropy(tn.reshape(out, (1, 3)), truth)

@@ -215,13 +215,13 @@ class TestTimeDistributed:
 
         # The shared gradient equals the sum of per-frame gradients.
         w = Tensor(w0, requires_grad=True)
-        with tn.record() as tape:
+        with tn.Tape() as tape:
             loss = run_summed_loss(w)
         tape.backward(loss)
         per_frame = np.zeros_like(w0)
         for t in range(3):
             wf = Tensor(w0, requires_grad=True)
-            with tn.record() as tape_f:
+            with tn.Tape() as tape_f:
                 out = nn.dense(Tensor(seq[t]), wf, Tensor(np.zeros(2)))
                 tape_f.backward(tn.reduce_sum(tn.mul(out, out)))
             per_frame += tape_f.grads[wf]
@@ -352,7 +352,7 @@ class TestFrozenParameters:
     def _step(self, spec, store):
         clip = Tensor(np.random.default_rng(8).uniform(0, 1, self.SHAPE).astype(np.float32))
         truth = np.eye(3, dtype=np.float32)[[1]]
-        with tn.record() as tape:
+        with tn.Tape() as tape:
             probs = models.forward(spec, store, clip)
             loss = train.categorical_crossentropy(tn.reshape(probs, (1, 3)), truth)
         tape.backward(loss)

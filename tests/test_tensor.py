@@ -149,7 +149,7 @@ class TestTensorBasics:
     def test_overflow_cases_cover_every_op(self):
         ops = {name for name in tn.__all__ if inspect.isfunction(getattr(tn, name))}
         assert not set(_OVERFLOW_CASES) & _FINITE_FROM_FINITE
-        assert set(_OVERFLOW_CASES) | _FINITE_FROM_FINITE == ops - {"record", "grad_check"}
+        assert set(_OVERFLOW_CASES) | _FINITE_FROM_FINITE == ops - {"grad_check"}
 
     def test_log_of_negative_raises(self):
         with pytest.raises(NonFiniteError):
@@ -165,7 +165,7 @@ class TestTensorBasics:
         results = []
         for axis in (1, -1):
             x = Tensor(xv, requires_grad=True)
-            with tn.record() as tape:
+            with tn.Tape() as tape:
                 out = tn.narrow(x, axis, 1, 2)
                 loss = tn.reduce_sum(tn.mul(out, t32(g)))
             tape.backward(loss)
@@ -205,7 +205,7 @@ class TestTensorBasics:
         results = []
         for axis in (1, -1):
             x = Tensor(xv, requires_grad=True)
-            with tn.record() as tape:
+            with tn.Tape() as tape:
                 out = self.AXIS_OPS[op](x, axis)
                 loss = tn.reduce_sum(tn.mul(out, out))
             tape.backward(loss)
@@ -536,7 +536,7 @@ class TestMaxpool:
         # Rounded inputs give ties; integer gradients sum exactly in any order.
         x = np.round(rng.uniform(-2, 2, shape)).astype(np.float32)
         probe = t32(x, requires_grad=True)
-        with tn.record() as tape:
+        with tn.Tape() as tape:
             y = getattr(tn, op)(probe, window)
             g = rng.integers(-3, 4, y.shape).astype(np.float32)
             loss = tn.reduce_sum(tn.mul(y, t32(g)))
@@ -545,7 +545,7 @@ class TestMaxpool:
 
     def test_tie_routes_gradient_to_first_in_scan_order(self):
         x = t32(np.full((2, 2, 1), 1.0), requires_grad=True)
-        with tn.record() as tape:
+        with tn.Tape() as tape:
             loss = tn.reduce_sum(tn.maxpool2d(x, (2, 2)))
         tape.backward(loss)
         assert np.array_equal(tape.grads[x].reshape(4), np.array([1, 0, 0, 0], dtype=np.float32))
@@ -604,16 +604,16 @@ class TestBackward:
     def test_sum_of_squares_gradient_exact(self):
         xv = np.random.default_rng(0).uniform(-1, 1, (3, 4)).astype(np.float32)
         x = Tensor(xv, requires_grad=True)
-        with tn.record() as tape:
+        with tn.Tape() as tape:
             loss = tn.reduce_sum(tn.mul(x, x))
         tape.backward(loss)
         assert np.array_equal(tape.grads[x], (2 * xv.astype(np.float64)).astype(np.float32) * 1)
 
     def test_loss_from_other_tape_rejected(self):
         x = t32([1.0, 2.0], requires_grad=True)
-        with tn.record():
+        with tn.Tape():
             loss = tn.reduce_sum(x)
-        with tn.record() as other:
+        with tn.Tape() as other:
             tn.reduce_sum(x)
             with pytest.raises(TapeError):
                 other.backward(loss)
@@ -628,7 +628,7 @@ class TestBackward:
                 x = t32([value] * 3, requires_grad=True)
                 if wait_open is not None:
                     wait_open.wait(10)
-                with tn.record() as tape:
+                with tn.Tape() as tape:
                     opened.set()
                     wait_compute.wait(10)
                     loss = tn.reduce_sum(tn.mul(x, x))
@@ -656,7 +656,7 @@ class TestBackward:
     def test_second_backward_raises_and_keeps_first_gradients(self):
         # A second pass would add into the leaves' gradients a second time.
         x, w = t32([3.0]), t32([2.0], requires_grad=True)
-        with tn.record() as tape:
+        with tn.Tape() as tape:
             y = tn.mul(x, w)
             loss = tn.reduce_sum(tn.mul(y, y))
         tape.backward(loss)
@@ -669,14 +669,14 @@ class TestBackward:
 
     def test_non_scalar_loss_rejected(self):
         x = t32([1.0, 2.0], requires_grad=True)
-        with tn.record() as tape:
+        with tn.Tape() as tape:
             y = tn.mul(x, x)
         with pytest.raises(TapeError):
             tape.backward(y)
 
     def test_fanout_accumulates(self):
         x = t32([3.0], requires_grad=True)
-        with tn.record() as tape:
+        with tn.Tape() as tape:
             loss = tn.reduce_sum(tn.add(x, x))
         tape.backward(loss)
         assert tape.grads[x].reshape(()) == np.float32(2.0)
@@ -703,7 +703,7 @@ class TestBackward:
         def run():
             x = Tensor(xv.copy(), requires_grad=True)
             k = Tensor(kv.copy(), requires_grad=True)
-            with tn.record() as tape:
+            with tn.Tape() as tape:
                 y = tn.conv2d(x, k, padding="same")
                 loss = tn.reduce_sum(tn.mul(y, y))
             tape.backward(loss)
@@ -732,7 +732,7 @@ class TestBackward:
         def run(x_needs_grad):
             x = Tensor(xv, requires_grad=x_needs_grad)
             k, b = Tensor(kv, requires_grad=True), Tensor(bv, requires_grad=True)
-            with tn.record() as tape:
+            with tn.Tape() as tape:
                 y = op(x, k, b, padding=padding, stride=stride)
                 loss = tn.reduce_sum(tn.mul(y, y))
             tape.backward(loss)
@@ -746,7 +746,7 @@ class TestBackward:
 
     def test_backward_cases_cover_every_op(self):
         ops = {name for name in tn.__all__ if inspect.isfunction(getattr(tn, name))}
-        assert set(_BW_CASES) == ops - {"record", "grad_check"}
+        assert set(_BW_CASES) == ops - {"grad_check"}
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("op", sorted(_BW_CASES))
@@ -760,7 +760,7 @@ class TestBackward:
         for needs in masks:
             inputs = [Tensor(rng.uniform(0.5, 1.5, s).astype(dtype), requires_grad=r)
                       for s, r in zip(shapes, needs)]
-            with tn.record() as tape:
+            with tn.Tape() as tape:
                 out = fn(*inputs)
             (node,) = tape.nodes
             assert node.out is out and len(node.inputs) == len(inputs)
@@ -779,7 +779,7 @@ class TestBackward:
         fn = tn.relu if op == "relu" else (lambda a: tn.clip(a, _LO, _HI))
         col = 1 if op == "relu" else 3
         x = np.array([row[0] for row in _KINK_ROWS], dtype=dtype)
-        with tn.record() as tape:
+        with tn.Tape() as tape:
             out = fn(Tensor(x, requires_grad=True))
         want = np.array([row[col] for row in _KINK_ROWS], dtype=dtype)
         # Bytes compare signbits too: -0.0 and 0.0 differ here.
@@ -797,7 +797,7 @@ class TestBackward:
         shape = (2, 3, 5)
         rng = np.random.default_rng(7)
         a = Tensor(rng.uniform(-1, 1, shape).astype(dtype), requires_grad=True)
-        with tn.record() as tape:
+        with tn.Tape() as tape:
             out = getattr(tn, op)(a, axis)
         n = dtype(a.numel if axis is None else shape[axis])
         if op == "reduce_mean":
@@ -816,7 +816,7 @@ class TestBackward:
         clip = t32(rng.uniform(-1, 1, (4, 4, 1)))
         k = t32(rng.uniform(-1, 1, (3, 3, 1, 2)), requires_grad=True)
         w = t32(rng.uniform(-1, 1, (8, 3)), requires_grad=True)
-        with tn.record() as tape:
+        with tn.Tape() as tape:
             h = tn.relu(tn.conv2d(clip, k, padding="same"))
             flat = tn.reshape(tn.maxpool2d(h, (2, 2)), (1, 8))
             z = tn.add(tn.matmul(flat, w), tn.matmul(flat, w))  # w feeds two nodes
@@ -829,7 +829,7 @@ class TestBackward:
 
     @staticmethod
     def _weighted_sum_tape(w, c, grads=None):
-        with tn.record(grads) as tape:
+        with tn.Tape(grads) as tape:
             loss = tn.reduce_sum(tn.mul(w, t32(c)))
         tape.backward(loss)
         return tape
@@ -856,7 +856,7 @@ class TestBackward:
         cs = ([1e8, -0.0], [-1e8, -0.0], [1.0, -0.0])
 
         def tape(c, grads, held=None):
-            with tn.record(grads, held) as t:
+            with tn.Tape(grads, held) as t:
                 loss = tn.add(tn.reduce_sum(tn.mul(w, t32(c))), tn.reduce_sum(tn.mul(w, w)))
             t.backward(loss)
 

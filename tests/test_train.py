@@ -138,7 +138,7 @@ class TestAdam:
         w = t32([3e38])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with tn.record() as tape:
+            with tn.Tape() as tape:
                 y = tn.mul(store["x"], w)
                 loss = tn.reduce_sum(tn.mul(y, y))
             tape.backward(loss)
@@ -536,7 +536,7 @@ clip = Tensor(Rng(3).uniforms(int(np.prod(shape))).astype(np.float32).reshape(sh
 for arch in sys.argv[1:]:
     spec = models.build(arch, shape, 4)
     params = models.init_model(spec, Rng(2))
-    with tn.record() as tape:
+    with tn.Tape() as tape:
         probs = models.forward(spec, params, clip)
         truth = np.eye(4, dtype=np.float32)[[2]]
         loss = train.categorical_crossentropy(tn.reshape(probs, (1, 4)), truth)

@@ -56,7 +56,7 @@ def main(argv: list[str]) -> int:
     truth = np.eye(NUM_CLASSES, dtype=np.float32)[[1]]
 
     def step() -> int:
-        with tn.record() as tape:
+        with tn.Tape() as tape:
             probs = models.forward(spec, params, clip)
             loss = train.categorical_crossentropy(tn.reshape(probs, (1, NUM_CLASSES)), truth)
         tape.backward(loss)
