@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .tensor import Rng
+from .tensor import Rng, _integers
 
 __all__ = [
     "DatasetError",
@@ -57,6 +57,9 @@ class PreprocessConfig:
     sequence_length: int = 35
 
     def __post_init__(self):
+        for key in ("target_height", "target_width", "channels", "sequence_length"):
+            (value,) = _integers((getattr(self, key),), key, DatasetError)
+            setattr(self, key, value)
         if self.target_height < 1 or self.target_width < 1:
             raise DatasetError("target extents must be positive")
         if self.channels not in (1, 3):
@@ -199,6 +202,9 @@ def normalize_sequence(frames, length: int) -> np.ndarray:
     t = len(frames)
     if t == 0:
         raise DatasetError("empty clip")
+    if len({np.shape(f) for f in frames}) > 1:
+        raise DatasetError("clip frames differ in shape")
+    (length,) = _integers((length,), "sequence length", DatasetError)
     if length < 1:
         raise DatasetError(f"sequence length must be at least 1, got {length}")
     if t == length:

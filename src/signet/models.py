@@ -25,7 +25,7 @@ import numpy as np
 from . import nn
 from .data import PreprocessConfig
 from .nn import LayerConfig, ParameterStore
-from .tensor import Rng, ShapeError, Tensor
+from .tensor import Rng, ShapeError, Tensor, _integers
 
 __all__ = [
     "ARCHITECTURES",
@@ -72,7 +72,7 @@ def _spec(arch: str, input_shape, num_classes: int, layers: list[LayerConfig]) -
     rejects a clip too small for its convolutions and pools, so the layers
     alone set each architecture's smallest clip.
     """
-    shape = tuple(input_shape)
+    shape = _integers(input_shape, f"{arch}: input shape")
     if len(shape) != 4:
         raise ShapeError(f"{arch}: input shape must be (T, H, W, C), got {shape}")
     if min(shape) < 1:

@@ -83,9 +83,13 @@ class LayerConfig:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ShapeError(f"unknown layer kind {self.kind!r}")
-        _KINDS[self.kind].check(self)
+        if self.units is not None:
+            (self.units,) = tn._integers((self.units,), f"{self.kind} units")
+        if self.filters is not None:
+            (self.filters,) = tn._integers((self.filters,), f"{self.kind} filters")
         if self.kernel_size is not None:
-            self.kernel_size = tuple(int(k) for k in self.kernel_size)
+            self.kernel_size = tn._integers(self.kernel_size, f"{self.kind} kernel_size")
+        _KINDS[self.kind].check(self)
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
@@ -448,7 +452,7 @@ def trace_layers(
     Returns (output_shape, parameter plans). Raises ShapeError if any layer
     does not fit the shape produced by its predecessor.
     """
-    shape = tuple(int(s) for s in input_shape)
+    shape = tn._integers(input_shape, "input shape")
     plans: list[ParamPlan] = []
     for i, cfg in enumerate(layers):
         name = f"{prefix}{i}_{cfg.kind}/"

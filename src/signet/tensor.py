@@ -419,8 +419,18 @@ def _same_dtype(*tensors: Tensor):
     return dt
 
 
+def _integers(values, what: str, error: type = ShapeError) -> tuple:
+    """``values`` as ints through ``operator.index``, so numpy integers pass
+    and a float, even 2.0, raises ``error`` naming ``what``."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise error(f"{what} must be integral, got {values!r}") from None
+
+
 def _axis(op: str, axis: int, ndim: int) -> int:
     """``axis`` as an index in [0, ndim); negative axes count from the end."""
+    (axis,) = _integers((axis,), f"{op}: axis")
     if not -ndim <= axis < ndim:
         raise ShapeError(f"{op}: axis {axis} outside a {ndim}-d tensor")
     return axis % ndim
@@ -567,10 +577,7 @@ def softmax(a: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     """``a`` with extents ``shape``: integers of at least 1 whose product is ``a.numel``."""
-    try:
-        shape = tuple(operator.index(s) for s in shape)
-    except TypeError as exc:
-        raise ShapeError(f"cannot reshape {a.shape} to {shape}: {exc}") from None
+    shape = _integers(shape, f"reshape of {a.shape}: shape")
     if min(shape, default=1) < 1 or math.prod(shape) != a.numel:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
     ash = a.shape
@@ -584,6 +591,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice of ``length`` elements along ``axis``; negative axes count from the end."""
     axis = _axis("narrow", axis, a.data.ndim)
+    start, length = _integers((start, length), "narrow: start and length")
     extent = a.shape[axis]
     if start < 0 or length < 1 or start + length > extent:
         raise ShapeError(f"narrow [{start}:{start + length}] outside extent {extent}")
@@ -733,12 +741,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _norm_stride(stride, ndim: int) -> tuple:
-    if isinstance(stride, int):
-        strides = (stride,) * ndim
-    else:
-        strides = tuple(int(s) for s in stride)
-        if len(strides) != ndim:
-            raise ShapeError(f"stride {stride} does not match {ndim} spatial dims")
+    strides = _integers((stride,) * ndim if np.ndim(stride) == 0 else stride, "stride")
+    if len(strides) != ndim:
+        raise ShapeError(f"stride {stride} does not match {ndim} spatial dims")
     if any(s < 1 for s in strides):
         raise ShapeError(f"stride must be positive, got {stride}")
     return strides
@@ -907,7 +912,7 @@ def _maxpool_nd(x: Tensor, window, ndim: int, op: str) -> Tensor:
     """Max over non-overlapping windows, each strided by its own extent."""
     if x.data.ndim != ndim + 1:
         raise ShapeError(f"{op}: input must have {ndim + 1} dims, got {x.shape}")
-    window = tuple(int(w) for w in window)
+    window = _integers(window, f"{op}: window")
     _pool_geometry(x.shape[:ndim], window, op)
     channels = x.shape[-1]
     cols, pads, outs = _im2col(x.data, window, window, "valid")

@@ -62,6 +62,9 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("max_epochs", "min_epochs", "batch_size", "patience", "seed"):
+            (value,) = tn._integers((getattr(self, key),), key, TrainingError)
+            setattr(self, key, value)
         if not 0.0 < self.validation_split < 1.0:
             raise TrainingError("validation_split must lie in (0, 1)")
         if self.batch_size < 1:

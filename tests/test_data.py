@@ -136,6 +136,19 @@ class TestNormalizeSequence:
             data.normalize_sequence(self._frames(3), length)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: PreprocessConfig(target_height=8.5),
+    lambda: PreprocessConfig(channels=1.0),
+    lambda: PreprocessConfig(sequence_length=2.5),
+    lambda: data.normalize_sequence([np.zeros((2, 2, 1), np.float32)] * 3, 2.5),
+    lambda: data.normalize_sequence(
+        [np.zeros((2, 2, 1), np.float32), np.zeros((2, 3, 1), np.float32)], 2),
+], ids=["target_height", "channels", "sequence_length", "length", "unequal_frames"])
+def test_non_integers_and_unequal_frames_are_dataset_errors(make):
+    with pytest.raises(DatasetError):
+        make()
+
+
 class TestGenerateSynthetic:
     def test_counts_and_layout(self, tmp_path):
         root = tmp_path / "corpus"

@@ -76,6 +76,12 @@ class TestBuilders:
             assert str(exc.value).startswith(f"{arch}: "), exc.value
             assert str(shape) in str(exc.value) and reason in str(exc.value), exc.value
 
+    @pytest.mark.parametrize("arch", models.ARCHITECTURES)
+    def test_non_integral_extent_is_shape_error(self, arch):
+        with pytest.raises(ShapeError) as exc:
+            models.build(arch, (8, 16.5, 16, 1), 2)
+        assert str(exc.value).startswith(f"{arch}: "), exc.value
+
     def test_accepted_shapes_follow_the_smallest_clips(self):
         # Every (T, H, W, 1) with T in 1..6 and H, W in 1..10, for every
         # architecture: a clip builds exactly when no extent is below the

@@ -289,6 +289,17 @@ class TestLayerConfig:
         LayerConfig("time_distributed", wrapped=[LayerConfig("relu", trainable=False)])
 
 
+    @pytest.mark.parametrize("make", [
+        lambda: LayerConfig("conv2d", filters=2, kernel_size=(2.5, 2)),
+        lambda: LayerConfig("conv2d", filters=2.5, kernel_size=(2, 2)),
+        lambda: LayerConfig("dense", units=2.5),
+        lambda: nn.trace_layers([LayerConfig("flatten")], (2.5, 2)),
+    ], ids=["kernel_size", "filters", "units", "trace_input_shape"])
+    def test_non_integral_extent_is_shape_error(self, make):
+        with pytest.raises(ShapeError):
+            make()
+
+
 class TestInitParams:
     def test_dense_glorot_bound_and_zero_bias(self):
         layers = [LayerConfig("dense", units=3)]

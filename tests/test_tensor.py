@@ -185,6 +185,22 @@ class TestTensorBasics:
         with pytest.raises(ShapeError):
             tn.reshape(t32(np.arange(4)), shape)
 
+    NON_INTEGRAL = {
+        "maxpool2d_window": lambda: tn.maxpool2d(t32(np.ones((4, 4, 1))), (2.5, 2)),
+        "conv2d_stride": lambda: tn.conv2d(t32(np.ones((4, 4, 1))), t32(np.ones((2, 2, 1, 1))),
+                                           stride=1.5),
+        "conv2d_stride_pair": lambda: tn.conv2d(t32(np.ones((4, 4, 1))),
+                                                t32(np.ones((2, 2, 1, 1))), stride=(1.5, 1)),
+        "narrow_start": lambda: tn.narrow(t32(np.ones((3, 4))), 1, 1.0, 1),
+        "narrow_axis": lambda: tn.narrow(t32(np.ones((3, 4))), 1.0, 0, 1),
+        "reduce_sum_axis": lambda: tn.reduce_sum(t32(np.ones((3, 4))), 1.0),
+    }
+
+    @pytest.mark.parametrize("case", list(NON_INTEGRAL))
+    def test_non_integral_extent_or_axis_is_shape_error(self, case):
+        with pytest.raises(ShapeError):
+            self.NON_INTEGRAL[case]()
+
     AXIS_OPS = {
         "narrow": lambda x, axis: tn.narrow(x, axis, 0, 1),
         "reduce_sum": lambda x, axis: tn.reduce_sum(x, axis=axis),

@@ -168,6 +168,12 @@ class TestEarlyStopping:
         assert train.early_stopping_check(losses, patience=2, min_epochs=1)
         assert not train.early_stopping_check(losses, patience=2, min_epochs=10)
 
+    @pytest.mark.parametrize("field", ["max_epochs", "min_epochs", "batch_size", "patience",
+                                       "seed"])
+    def test_non_integral_config_is_training_error(self, field):
+        with pytest.raises(TrainingError, match=field):
+            TrainingConfig(**{"min_epochs": 1, field: 2.5})
+
     def test_config_invariants(self):
         with pytest.raises(TrainingError):
             TrainingConfig(validation_split=0.0)
