@@ -265,10 +265,11 @@ def load_dataset(root_dir: str, cfg: PreprocessConfig, seed: int = 0) -> Dataset
     folder names, sorted; results are deterministic for fixed (contents,
     seed).
     """
+    (seed,) = _integers((seed,), "seed", DatasetError)
     class_names = _list_dir(root_dir, "dataset root")
     if not class_names:
         raise DatasetError(f"no class folders under {root_dir}")
-    manifest = DatasetManifest(class_names=class_names, seed=int(seed))
+    manifest = DatasetManifest(class_names=class_names, seed=seed)
     rng = Rng(seed)
     for label_index, label in enumerate(class_names):
         class_dir = os.path.join(root_dir, label)
@@ -354,13 +355,16 @@ def generate_synthetic(
     blob radius, circle phase) comes from a seeded stream, so identical
     arguments produce bit-identical files.
     """
+    num_classes, clips_per_class, frames, seed = _integers(
+        (num_classes, clips_per_class, frames, seed),
+        "num_classes, clips_per_class, frames and seed", DatasetError)
+    h, w = _integers(size, "size", DatasetError)
     if not 1 <= num_classes <= len(MOTION_PATTERNS):
         raise DatasetError(
             f"num_classes must lie in [1, {len(MOTION_PATTERNS)}], got {num_classes}"
         )
     if clips_per_class < 1 or frames < 1:
         raise DatasetError("clips_per_class and frames must be positive")
-    h, w = int(size[0]), int(size[1])
     rng = Rng(seed)
     written = 0
     for pattern in MOTION_PATTERNS[:num_classes]:

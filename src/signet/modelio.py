@@ -16,48 +16,33 @@ therefore self-describing: prediction needs nothing beyond the file.
 Saving the same model twice produces identical bytes.
 
 ``save_model`` writes format version 2, whose ``payload_sha256`` is the
-sha256 hex digest of the payload. Version 1 is read, never written: it
-differs only in ``format_version`` and in carrying
-``payload_checksum_fnv1a64``, the 64-bit FNV-1a of the payload as 16 hex
-digits, in place of the sha256. Every other version is rejected with
-``UnsupportedVersionError``. ``_CHECKSUMS`` maps each version to its key
-and checksum; beyond that, a version is only the value of its own field.
+sha256 hex digest of the payload, and ``load_model`` reads only that
+version. Every other version is an ``UnsupportedVersionError``; version 1,
+the format before sha256, is no longer read.
 
-Why sha256. FNV-1a is a sequential byte fold, and even without a per-byte
-loop (see ``_fnv1a64``) it made nearly all of the 8.46 MB cnn3d model's
-load time. ``hashlib.sha256`` runs the same payload about eight times
-faster, on CPUs with SHA extensions. ``zlib.crc32`` is about three times
-faster again, but its 32 bits would let one random corruption in 2^32
-through, where the 64-bit FNV-1a let one in 2^64 through. sha256 misses one
-in 2^256 and, unlike FNV-1a, has no known structure that rearranged or
-adversarial bytes could use, so it is the stronger check on every count.
-
-The FNV-1a ``_fnv1a64`` runs without a per-byte loop. Only the low byte of
-the FNV-1a state is nonlinear, and its 8 bit planes are prefix XORs taken
-lowest first. With the low bytes known, the state obeys the linear
-recurrence ``h_n = P * (h_(n-1) + d_n) mod 2^64``, summed against a table
-of powers of the FNV prime, built on the first version-1 checksum.
+Why sha256 over crc32: ``zlib.crc32`` runs about three times faster, but
+its 32 bits would let one random corruption in 2^32 through, where sha256
+misses one in 2^256 and has no known structure that rearranged or
+adversarial bytes could use.
 
 One function, ``_header``, decides every header field but the checksum
-from the model spec, the preprocess config, the class names and the format
-version, and the preprocess config must produce clips of the spec's input
-shape. One function, ``_prefix``, encodes a header as every byte before the
-payload: the magic, the length, the JSON and the padding. ``save_model``
-writes ``_prefix`` of its header, then the payload. ``load_model`` rebuilds
-the spec from the five fields the builders read, and accepts a file only if
-every byte before its payload is what ``save_model`` writes for the rebuilt
-model at the file's version, the file's own checksum value included. So it
-loads exactly the files ``save_model`` writes and their version-1 forms.
-Every rejection is a ``ModelFormatError``: bytes before the payload that
-differ refine it to ``IncompatibleModelError``, and a checksum that does
-not match the payload, a malformed checksum string included, to
-``ChecksumError``.
+from the model spec, the preprocess config and the class names, and the
+preprocess config must produce clips of the spec's input shape. One
+function, ``_prefix``, encodes a header as every byte before the payload:
+the magic, the length, the JSON and the padding. ``save_model`` writes
+``_prefix`` of its header, then the payload. ``load_model`` rebuilds the
+spec from the five fields the builders read, and accepts a file only if
+every byte before its payload is what ``save_model`` writes for the
+rebuilt model, the file's own checksum value included. So it loads exactly
+the files ``save_model`` writes. Every rejection is a
+``ModelFormatError``: bytes before the payload that differ refine it to
+``IncompatibleModelError``, and a checksum that does not match the
+payload, a malformed checksum string included, to ``ChecksumError``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import json
 import math
@@ -117,67 +102,6 @@ class IncompleteParamsError(ModelFormatError):
     """Parameter store does not cover the model's parameter plan."""
 
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-_CHUNK = 1 << 18
-
-
-@functools.cache
-def _powers() -> np.ndarray:
-    """``out[i] = P^(_CHUNK - i) mod 2^64``, so the last n entries are P^n ... P^1."""
-    return np.multiply.accumulate(np.full(_CHUNK, _FNV_PRIME, dtype=np.uint64))[::-1].copy()
-
-
-def _exclusive_prefix_xor(bits: np.ndarray, start: int) -> np.ndarray:
-    """``out[i] = start ^ b[0] ^ ... ^ b[i-1]`` as 0/1 uint8, b[j] = (bits[j] != 0).
-
-    The bits are packed into little-endian uint64 words; a shift ladder makes
-    each word its own inclusive prefix XOR, and the running parity of the
-    earlier words (plus ``start``) flips whole words.
-    """
-    n = bits.size
-    packed = np.zeros(-(-n // 64) * 8, dtype=np.uint8)
-    packed[: -(-n // 8)] = np.packbits(bits, bitorder="little")
-    words = packed.view("<u8")
-    w = words.copy()
-    for s in (1, 2, 4, 8, 16, 32):
-        w ^= w << np.uint64(s)
-    parity = w >> np.uint64(63)
-    carry = np.bitwise_xor.accumulate(parity)
-    carry ^= parity ^ np.uint64(start)
-    w ^= words
-    w ^= -carry
-    return np.unpackbits(w.view(np.uint8), count=n, bitorder="little")
-
-
-def _fnv1a64(data) -> int:
-    """64-bit FNV-1a of a bytes-like object, ``h = (h ^ b) * P mod 2^64`` per byte.
-
-    Computed 256 KiB at a time without a per-byte loop. The low byte ``l`` of
-    the state follows ``l' = ((l ^ b) * 0xB3) mod 256``, so bit k of ``l'`` is
-    bit k of ``l`` XOR bit k of ``((l mod 2^k) ^ b) * 0xB3``. Each bit plane
-    of the low bytes, lowest first, is therefore one prefix XOR of flips the
-    lower planes fix. With every low byte known, ``h ^ b = h + d`` where
-    ``d = (l ^ b) - l``, and the state after a chunk of m bytes is the linear
-    ``P^m h + sum(P^(m-n+1) d_n) mod 2^64``: one wrapping uint64 dot product
-    with ``_powers()``.
-    """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    table = _powers()
-    h = _FNV_OFFSET
-    for start in range(0, buf.size, _CHUNK):
-        b = buf[start : start + _CHUNK]
-        low = np.zeros(b.size, dtype=np.uint8)
-        for k in range(8):
-            flips = ((low ^ b) * np.uint8(0xB3)) & np.uint8(1 << k)
-            low |= _exclusive_prefix_xor(flips, (h >> k) & 1) * np.uint8(1 << k)
-        d = np.subtract(low ^ b, low, dtype=np.int16).astype(np.uint64)  # wraps mod 2^64
-        powers = table[_CHUNK - b.size :]
-        h = (int(powers[0]) * h + int(np.dot(d, powers))) & _MASK64
-    return h
-
-
 def _align8(n: int) -> int:
     return (n + 7) & ~7
 
@@ -190,20 +114,17 @@ def _is_int_list(v) -> bool:
     return isinstance(v, list) and all(_is_int(x) for x in v)
 
 
-# Each readable format version: its checksum's header key and the checksum
-# of a payload as lowercase hex.
-_CHECKSUMS = {
-    1: ("payload_checksum_fnv1a64", lambda data: f"{_fnv1a64(data):016x}"),
-    2: ("payload_sha256", lambda data: hashlib.sha256(data).hexdigest()),
-}
+_CHECKSUM_KEY = "payload_sha256"
+
+
+def _checksum(payload) -> str:
+    return hashlib.sha256(payload).hexdigest()
 
 
 def _header(
-    spec: ModelSpec, preprocess: PreprocessConfig, class_names: list[str],
-    version: int = FORMAT_VERSION,
+    spec: ModelSpec, preprocess: PreprocessConfig, class_names: list[str]
 ) -> tuple[dict, list[nn.ParamPlan]]:
-    """Every header field of a ``version`` file but the checksum, and the
-    parameter plans.
+    """Every header field but the checksum, and the parameter plans.
 
     The preprocess config's (sequence_length, target_height, target_width,
     channels) must be the integers of the input shape. The tensor table
@@ -224,7 +145,7 @@ def _header(
                       "length": length})
         offset = _align8(offset + length)
     header = {
-        "format_version": version,
+        "format_version": FORMAT_VERSION,
         "architecture": spec.architecture,
         "input_shape": list(spec.input_shape),
         "num_classes": spec.num_classes,
@@ -282,8 +203,7 @@ def save_model(
                 f"parameter {plan.name!r} has shape {t.shape}, expected {plan.shape}"
             )
         payload[entry["offset"] : entry["offset"] + entry["length"]] = t.data.astype("<f4").tobytes()
-    key, checksum = _CHECKSUMS[FORMAT_VERSION]
-    header[key] = checksum(payload)
+    header[_CHECKSUM_KEY] = _checksum(payload)
 
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
     fh = open(tmp, "xb")
@@ -301,15 +221,15 @@ def save_model(
 def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, list[str]]:
     """Read an SLM1 file back into (spec, params, preprocess, class_names).
 
-    Checks the magic and the format version (1 or 2), then reads the five
-    header fields the builders read and rebuilds the model from them. The
-    one rule for the header: every byte before the payload must be what
-    ``save_model`` writes for that model, its preprocess config and its
-    class names at the file's version, with the file's own checksum value,
-    or the file is rejected with ``IncompatibleModelError``. The tensors are
-    read at the offsets of that header. Then the payload must be long
-    enough, match the version's checksum (which every file must carry) or
-    raise ``ChecksumError``, and hold only finite weights. Every rejection
+    Checks the magic and the format version (``FORMAT_VERSION`` only), then
+    reads the five header fields the builders read and rebuilds the model
+    from them. The one rule for the header: every byte before the payload
+    must be what ``save_model`` writes for that model, its preprocess config
+    and its class names, with the file's own checksum value, or the file is
+    rejected with ``IncompatibleModelError``. The tensors are read at the
+    offsets of that header. Then the payload must be long enough, match its
+    sha256 (which every file must carry) or raise ``ChecksumError``, and
+    hold only finite weights. Every rejection
     is a ``ModelFormatError``; a file that cannot be read raises ``OSError``.
     """
     with open(path, "rb") as fh:
@@ -327,9 +247,10 @@ def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, 
         raise ModelFormatError(f"{path}: header is not a JSON object")
 
     version = header.get("format_version")
-    if not _is_int(version) or version not in _CHECKSUMS:
-        raise UnsupportedVersionError(f"{path}: unsupported format version {version!r}")
-    key, checksum = _CHECKSUMS[version]
+    if not _is_int(version) or version != FORMAT_VERSION:
+        hint = "; version 1 is no longer read: retrain, or re-save the model with an older checkout"
+        raise UnsupportedVersionError(f"{path}: unsupported format version {version!r}"
+                                      f"{hint if _is_int(version) and version == 1 else ''}")
 
     try:
         spec = models.build(
@@ -340,8 +261,8 @@ def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, 
         )
         class_names = [str(c) for c in header["class_names"]]
         preprocess = PreprocessConfig(**header["preprocess"])
-        expected, plans = _header(spec, preprocess, class_names, version)
-        prefix = _prefix({**expected, key: header.get(key)})
+        expected, plans = _header(spec, preprocess, class_names)
+        prefix = _prefix({**expected, _CHECKSUM_KEY: header.get(_CHECKSUM_KEY)})
     except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise IncompatibleModelError(f"{path}: header rejected by the builders: {exc!r}") from exc
     if len(class_names) != spec.num_classes:
@@ -358,7 +279,7 @@ def load_model(path: str) -> tuple[ModelSpec, ParameterStore, PreprocessConfig, 
     table = expected["tensors"]
     if len(payload) < _payload_size(table):
         raise TruncatedPayloadError(f"{path}: payload too short for its tensor table")
-    if checksum(payload) != header[key]:
+    if _checksum(payload) != header[_CHECKSUM_KEY]:
         raise ChecksumError(f"{path}: payload checksum mismatch")
 
     store = ParameterStore()

@@ -1,10 +1,10 @@
 """Builders for the four clip-classification architectures.
 
-Every builder takes a clip shape (T, H, W, C) and a class count and ends
-the chain with dense(num_classes) + softmax, so any model's forward pass
-returns a probability vector over classes. The architecture identifiers
-``cnn_lstm | cnn3d | cnn_rnn_lstm | cnn_td`` are the stable strings used
-by the CLI and the model-file header.
+Every builder takes a clip shape (T, H, W, C) and a class count, and
+``_spec`` ends each chain with dense(num_classes) + softmax, so any model's
+forward pass returns a probability vector over classes. The architecture
+identifiers ``cnn_lstm | cnn3d | cnn_rnn_lstm | cnn_td`` are the stable
+strings used by the CLI and the model-file header.
 
 Each builder is its layer list. The chain alone sets each architecture's
 smallest clip: a builder traces its layers over the input shape and rejects
@@ -64,21 +64,25 @@ class ModelSpec:
         return all(cfg.trainable for cfg in self.layers)
 
 
-def _spec(arch: str, input_shape, num_classes: int, layers: list[LayerConfig]) -> ModelSpec:
-    """The checked spec of one architecture's layer chain.
+def _spec(arch: str, input_shape, num_classes: int, body: list[LayerConfig]) -> ModelSpec:
+    """The checked spec of one architecture: its ``body`` of layers, then
+    the dense(num_classes) and softmax head.
 
     Only what the chain cannot see is checked here: a (T, H, W, C) shape
-    with positive extents and at least two classes. Tracing the chain then
-    rejects a clip too small for its convolutions and pools, so the layers
-    alone set each architecture's smallest clip.
+    with positive extents, and an integral class count of at least two,
+    taken before the head is made. Tracing the chain then rejects a clip too
+    small for its convolutions and pools, so the layers alone set each
+    architecture's smallest clip.
     """
     shape = _integers(input_shape, f"{arch}: input shape")
     if len(shape) != 4:
         raise ShapeError(f"{arch}: input shape must be (T, H, W, C), got {shape}")
     if min(shape) < 1:
         raise ShapeError(f"{arch}: non-positive input extent in {shape}")
+    (num_classes,) = _integers((num_classes,), f"{arch}: class count")
     if num_classes < 2:
         raise ShapeError(f"{arch}: needs at least 2 classes")
+    layers = body + [LayerConfig("dense", units=num_classes), LayerConfig("softmax")]
     try:
         nn.trace_layers(layers, shape)
     except ShapeError as exc:
@@ -96,8 +100,6 @@ def build_cnn_lstm(input_shape, num_classes: int) -> ModelSpec:
         LayerConfig("convlstm2d", units=8, kernel_size=(3, 3), padding="same"),
         LayerConfig("maxpool2d", kernel_size=(2, 2)),
         LayerConfig("flatten"),
-        LayerConfig("dense", units=num_classes),
-        LayerConfig("softmax"),
     ]
     return _spec("cnn_lstm", input_shape, num_classes, layers)
 
@@ -120,8 +122,6 @@ def build_cnn3d(input_shape, num_classes: int) -> ModelSpec:
         LayerConfig("flatten"),
         LayerConfig("dense", units=128),
         LayerConfig("relu"),
-        LayerConfig("dense", units=num_classes),
-        LayerConfig("softmax"),
     ]
     return _spec("cnn3d", input_shape, num_classes, layers)
 
@@ -160,8 +160,6 @@ def build_cnn_rnn_lstm(
         ),
         LayerConfig("simple_rnn", units=32, return_sequences=True),
         LayerConfig("lstm", units=32),
-        LayerConfig("dense", units=num_classes),
-        LayerConfig("softmax"),
     ]
     spec = _spec("cnn_rnn_lstm", input_shape, num_classes, layers)
     # The one limit the chain does not imply. It follows _spec, which has
@@ -176,8 +174,6 @@ def build_cnn_td(input_shape, num_classes: int) -> ModelSpec:
     layers = [
         LayerConfig("time_distributed", wrapped=_frame_extractor(32, True)),
         LayerConfig("flatten"),
-        LayerConfig("dense", units=num_classes),
-        LayerConfig("softmax"),
     ]
     return _spec("cnn_td", input_shape, num_classes, layers)
 

@@ -4,10 +4,7 @@ Everything here is deliberately written as plain scalar loops (or direct
 formula transcriptions) so it shares no code path with the package. The
 float32 variants accumulate in the same canonical ascending order the
 kernels document, which makes exact comparisons meaningful. The model-file
-builders at the end are the exception: they assemble SLM1 bytes by hand,
-but take version 1's FNV-1a from ``modelio._fnv1a64``, which the checksum
-tests hold equal to ``fnv1a64_loop``: the byte loop would take seconds on
-cnn3d's 8.46 MB payload.
+builders at the end are the exception: they assemble SLM1 bytes by hand.
 """
 
 import hashlib
@@ -16,8 +13,6 @@ import math
 import struct
 
 import numpy as np
-
-from signet import modelio
 
 
 def matmul_triple_loop_f32(a, b):
@@ -315,14 +310,6 @@ def adam_unrolled(p0, grads, lr, b1=0.9, b2=0.999, eps=1e-7):
     return p
 
 
-def fnv1a64_loop(data):
-    """64-bit FNV-1a, one byte at a time."""
-    h = 0xCBF29CE484222325
-    for b in data:
-        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
 # Elements in one (M, chunk, N) product block of the reference fold.
 MATMUL_BLOCK_ELEMS = 1 << 16
 
@@ -387,18 +374,5 @@ def model_file(header, payload):
 
 
 def with_checksum(header, payload):
-    """``model_file`` with the payload checksum of the header's format
-    version: the sha256 hex digest for 2, the 16-digit FNV-1a for 1."""
-    if header["format_version"] == 1:
-        header = {**header, "payload_checksum_fnv1a64": f"{modelio._fnv1a64(payload):016x}"}
-    else:
-        header = {**header, "payload_sha256": hashlib.sha256(payload).hexdigest()}
-    return model_file(header, payload)
-
-
-def as_version_1(raw):
-    """The version-1 form of a version-2 SLM1 file: ``format_version`` 1 and
-    the FNV-1a key in place of ``payload_sha256``; nothing else changes."""
-    header, payload = split_model_file(raw)
-    del header["payload_sha256"]
-    return with_checksum({**header, "format_version": 1}, payload)
+    """``model_file`` with the payload's sha256 hex digest as ``payload_sha256``."""
+    return model_file({**header, "payload_sha256": hashlib.sha256(payload).hexdigest()}, payload)

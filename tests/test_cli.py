@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from signet import cli, data, models, modelio, train
 from signet.cli import GradeResult, band_for_grade, grade_from_probabilities
 from signet.data import PreprocessConfig
@@ -324,6 +325,21 @@ class TestCommands:
         rc = cli.main(["grade", "--model", trained, "--clip", str(tmp_path / "none")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["grade", "predict"])
+    def test_version_1_model_prints_one_error_line(self, trained, tiny_corpus, tmp_path, capsys,
+                                                   command):
+        # The format before sha256, with a well-formed checksum of its own.
+        header, payload = oracles.split_model_file(Path(trained).read_bytes())
+        del header["payload_sha256"]
+        header.update(format_version=1, payload_checksum_fnv1a64="0123456789abcdef")
+        old = tmp_path / "old.slm"
+        old.write_bytes(oracles.model_file(header, payload))
+        rc = cli.main([command, "--model", str(old), "--clip", _a_clip_dir(tiny_corpus)])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "format version 1;" in err, err
 
     def test_predict_bad_model_file_exits_1(self, tmp_path, tiny_corpus, capsys):
         bad = tmp_path / "bad.slm"

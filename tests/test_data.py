@@ -136,17 +136,31 @@ class TestNormalizeSequence:
             data.normalize_sequence(self._frames(3), length)
 
 
+def _load_split_seed(root, seed):
+    """load_dataset of a small real corpus, so that only ``seed`` can fail."""
+    data.generate_synthetic(root, 2, 2, frames=2, size=(8, 8))
+    return data.load_dataset(root, PreprocessConfig(8, 8, 1, 2), seed=seed)
+
+
 @pytest.mark.parametrize("make", [
-    lambda: PreprocessConfig(target_height=8.5),
-    lambda: PreprocessConfig(channels=1.0),
-    lambda: PreprocessConfig(sequence_length=2.5),
-    lambda: data.normalize_sequence([np.zeros((2, 2, 1), np.float32)] * 3, 2.5),
-    lambda: data.normalize_sequence(
+    lambda root: PreprocessConfig(target_height=8.5),
+    lambda root: PreprocessConfig(channels=1.0),
+    lambda root: PreprocessConfig(sequence_length=2.5),
+    lambda root: data.normalize_sequence([np.zeros((2, 2, 1), np.float32)] * 3, 2.5),
+    lambda root: data.normalize_sequence(
         [np.zeros((2, 2, 1), np.float32), np.zeros((2, 3, 1), np.float32)], 2),
-], ids=["target_height", "channels", "sequence_length", "length", "unequal_frames"])
-def test_non_integers_and_unequal_frames_are_dataset_errors(make):
+    lambda root: data.generate_synthetic(root, 2, 1, frames=2.5, size=(8, 8)),
+    lambda root: data.generate_synthetic(root, 2, 1.5, frames=2, size=(8, 8)),
+    lambda root: data.generate_synthetic(root, 2.0, 1, frames=2, size=(8, 8)),
+    lambda root: data.generate_synthetic(root, 2, 1, frames=2, size=(20.7, 20)),
+    lambda root: data.generate_synthetic(root, 2, 1, frames=2, size=(8, 8), seed=2.5),
+    lambda root: _load_split_seed(root, 2.5),
+], ids=["target_height", "channels", "sequence_length", "length", "unequal_frames",
+        "synth_frames", "synth_clips_per_class", "synth_num_classes", "synth_size",
+        "synth_seed", "split_seed"])
+def test_non_integers_and_unequal_frames_are_dataset_errors(make, tmp_path):
     with pytest.raises(DatasetError):
-        make()
+        make(str(tmp_path / "corpus"))
 
 
 class TestGenerateSynthetic:

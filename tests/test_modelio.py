@@ -1,10 +1,6 @@
 import hashlib
 import json
-import os
 import struct
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +13,6 @@ from signet.tensor import Rng
 
 SMALL = (6, 16, 16, 1)
 CLASSES = ["alpha", "beta", "gamma", "delta"]
-_C = modelio._CHUNK  # checksum chunk size in bytes
 
 
 @pytest.fixture(scope="module")
@@ -28,15 +23,6 @@ def saved(tmp_path_factory):
     cfg = PreprocessConfig(16, 16, 1, 6)
     modelio.save_model(spec, params, cfg, CLASSES, str(path))
     return str(path), spec, params, cfg
-
-
-@pytest.fixture(scope="module")
-def files(saved, tmp_path_factory):
-    """The saved file's path by format version: 2 as written, 1 its version-1 form."""
-    path, *_ = saved
-    old = tmp_path_factory.mktemp("v1") / "model.slm"
-    old.write_bytes(oracles.as_version_1(open(path, "rb").read()))
-    return {1: str(old), 2: path}
 
 
 class TestSave:
@@ -127,9 +113,7 @@ class TestSave:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.slm"]
 
     def test_seeded_cnn3d_file_golden_digest(self, tmp_path):
-        # The version-1 digest is of the file written before Rng.uniforms was
-        # vectorised: the seeded initial weights and the SLM1 bytes must not
-        # change, and version 2 moves only the version and checksum fields.
+        # The seeded initial weights and the SLM1 bytes must not change.
         spec = models.build("cnn3d", (35, 64, 64, 1), 4)
         params = models.init_model(spec, Rng(7))
         path = tmp_path / "cnn3d.slm"
@@ -138,10 +122,6 @@ class TestSave:
         raw = path.read_bytes()
         digest = hashlib.sha256(raw).hexdigest()
         assert digest == "f7eec897d1f2edbc0395534fdf78790fb14f8e492a9b2de48965de371e215165"
-        old = oracles.as_version_1(raw)
-        assert (hashlib.sha256(old).hexdigest()
-                == "139718d062ea8510e4617fbec9150cdf17e03c209ff96a5dcd6ad332129d0a08")
-        path.write_bytes(old)
         _, loaded, _, _ = modelio.load_model(str(path))
         assert loaded.names() == params.names()
         for name in params.names():
@@ -149,10 +129,9 @@ class TestSave:
 
 
 class TestLoad:
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_round_trip_bit_identical_params_and_metadata(self, saved, files, version):
-        _, spec, params, cfg = saved
-        spec2, params2, cfg2, names2 = modelio.load_model(files[version])
+    def test_round_trip_bit_identical_params_and_metadata(self, saved):
+        path, spec, params, cfg = saved
+        spec2, params2, cfg2, names2 = modelio.load_model(path)
         assert spec2.architecture == spec.architecture
         assert spec2.input_shape == spec.input_shape
         assert names2 == CLASSES
@@ -198,37 +177,12 @@ class TestLoad:
             moved = not np.array_equal(params[name].data, before[name])
             assert moved == params.is_trainable(name), name
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_reserialization_identical(self, saved, files, tmp_path, version):
-        # A loaded version-1 file is saved again as version 2.
+    def test_reserialization_identical(self, saved, tmp_path):
         path, *_ = saved
-        spec2, params2, cfg2, names2 = modelio.load_model(files[version])
+        spec2, params2, cfg2, names2 = modelio.load_model(path)
         again = tmp_path / "resave.slm"
         modelio.save_model(spec2, params2, cfg2, names2, str(again))
         assert again.read_bytes() == open(path, "rb").read()
-
-    def test_version_2_files_never_build_the_fnv_table(self, tmp_path):
-        # A fresh process, so that no earlier test has built the table.
-        env = dict(os.environ, PYTHONPATH=str(Path(modelio.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", _V2_ONLY, str(tmp_path / "m.slm")],
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-
-
-_V2_ONLY = """
-import sys
-from signet import models, modelio
-from signet.data import PreprocessConfig
-from signet.tensor import Rng
-
-spec = models.build("cnn_td", (6, 16, 16, 1), 2)
-modelio.save_model(spec, models.init_model(spec, Rng(1)), PreprocessConfig(16, 16, 1, 6),
-                   ["a", "b"], sys.argv[1])
-modelio.load_model(sys.argv[1])
-assert modelio._powers.cache_info().currsize == 0
-modelio._fnv1a64(b"a")
-assert modelio._powers.cache_info().currsize == 1
-"""
 
 
 def _with_header(path, mutate) -> bytes:
@@ -257,7 +211,7 @@ class TestRejection:
         with pytest.raises(modelio.BadMagicError, match="not a model file"):
             modelio.load_model(str(bad))
 
-    @pytest.mark.parametrize("version", [3, 0, [2]], ids=str)
+    @pytest.mark.parametrize("version", [1, 3, 0, [2]], ids=str)
     def test_unsupported_version(self, saved, tmp_path, version):
         path, *_ = saved
         bad = tmp_path / "other.slm"
@@ -265,19 +219,14 @@ class TestRejection:
         with pytest.raises(modelio.UnsupportedVersionError):
             modelio.load_model(str(bad))
 
-    @pytest.mark.parametrize("version, drop, add", [
-        (1, "payload_checksum_fnv1a64", "payload_sha256"),
-        (2, "payload_sha256", "payload_checksum_fnv1a64"),
-        (2, None, "payload_checksum_fnv1a64"),
-    ], ids=["v1_sha256_key", "v2_fnv1a64_key", "v2_both_keys"])
-    def test_checksum_key_of_the_other_version_is_a_format_error(self, files, tmp_path,
-                                                                 version, drop, add):
-        # The added checksum matches the payload; only its key is the other version's.
-        header, payload = oracles.split_model_file(open(files[version], "rb").read())
-        digests = {"payload_sha256": hashlib.sha256(payload).hexdigest(),
-                   "payload_checksum_fnv1a64": f"{modelio._fnv1a64(payload):016x}"}
+    @pytest.mark.parametrize("drop", ["payload_sha256", None],
+                             ids=["v2_fnv1a64_key", "v2_both_keys"])
+    def test_checksum_key_of_the_other_version_is_a_format_error(self, saved, tmp_path, drop):
+        # Version 1's checksum key, in place of the sha256 or beside it.
+        path, *_ = saved
+        header, payload = oracles.split_model_file(open(path, "rb").read())
         header.pop(drop, None)
-        header[add] = digests[add]
+        header["payload_checksum_fnv1a64"] = "0123456789abcdef"
         bad = tmp_path / "swapped.slm"
         bad.write_bytes(oracles.model_file(header, payload))
         with pytest.raises(modelio.ModelFormatError):
@@ -411,9 +360,9 @@ class TestRejection:
         with pytest.raises(modelio.TruncatedPayloadError):
             modelio.load_model(str(bad))
 
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_single_corrupted_payload_byte_detected(self, files, tmp_path, version):
-        raw = bytearray(open(files[version], "rb").read())
+    def test_single_corrupted_payload_byte_detected(self, saved, tmp_path):
+        path, *_ = saved
+        raw = bytearray(open(path, "rb").read())
         raw[-3] ^= 0x40
         bad = tmp_path / "flip.slm"
         bad.write_bytes(bytes(raw))
@@ -458,45 +407,18 @@ class TestRejection:
             assert issubclass(err, modelio.ModelFormatError)
 
 
-class TestChecksum:
-    def test_fnv1a_reference_vectors(self):
-        # Published 64-bit FNV-1a test vectors.
-        assert modelio._fnv1a64(b"") == 0xCBF29CE484222325
-        assert modelio._fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-        assert modelio._fnv1a64(b"foobar") == 0x85944171F73967E8
-
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(st.one_of(
-        st.binary(max_size=4096),
-        st.builds(
-            lambda n, seed: np.random.default_rng(seed).bytes(n),
-            st.integers(0, 3 * modelio._CHUNK + 1),
-            st.integers(0, 2**32 - 1),
-        ),
-    ))
-    def test_matches_byte_loop(self, raw):
-        assert modelio._fnv1a64(raw) == oracles.fnv1a64_loop(raw)
-
-    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
-    @pytest.mark.parametrize("fill", [0x00, 0xFF])
-    @pytest.mark.parametrize("length", [0, 1, _C - 1, _C, _C + 1, 2 * _C + 7])
-    def test_runs_at_chunk_boundaries(self, wrap, fill, length):
-        raw = bytes([fill]) * length
-        assert modelio._fnv1a64(wrap(raw)) == oracles.fnv1a64_loop(raw)
-
-
 class TestFileFuzz:
     """Damaged model files make load_model raise ModelFormatError and nothing else."""
 
-    @pytest.mark.parametrize("version", [1, 2])
     @settings(max_examples=250, deadline=None, derandomize=True)
     @given(st.data())
-    def test_single_byte_mutations(self, files, tmp_path_factory, version, draw):
+    def test_single_byte_mutations(self, saved, tmp_path_factory, draw):
         # A mutated file that loads must be what save_model writes for the
         # model it loads as (a class-name flip, say, since the checksum covers
         # only the payload). Draws land in the magic, length or JSON header, in
         # the padding, or anywhere.
-        raw = bytearray(open(files[version], "rb").read())
+        path, *_ = saved
+        raw = bytearray(open(path, "rb").read())
         (hlen,) = struct.unpack("<I", raw[4:8])
         end = ((8 + hlen + 7) & ~7) - 1
         pos = draw.draw(st.one_of(st.integers(0, 8 + hlen - 1), st.integers(8 + hlen, end),
@@ -513,13 +435,13 @@ class TestFileFuzz:
         spec, params, cfg, names = loaded
         modelio.save_model(spec, params, cfg, names, str(base / "resaved.slm"))
         again = (base / "resaved.slm").read_bytes()
-        assert (again if version == 2 else oracles.as_version_1(again)) == bytes(raw)
+        assert again == bytes(raw)
 
-    @pytest.mark.parametrize("version", [1, 2])
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.data())
-    def test_truncations(self, files, tmp_path_factory, version, draw):
-        raw = open(files[version], "rb").read()
+    def test_truncations(self, saved, tmp_path_factory, draw):
+        path, *_ = saved
+        raw = open(path, "rb").read()
         cut = draw.draw(st.integers(0, len(raw) - 1))
         short = tmp_path_factory.getbasetemp() / "truncated.slm"
         short.write_bytes(raw[:cut])

@@ -236,7 +236,6 @@ class TestFit:
     def test_frozen_fit_golden_digest(self, tmp_path):
         # Digests taken while the frozen extractor was still recorded on the
         # tape: pruning it must leave the saved model and history unchanged.
-        # The file's version-1 form keeps the digest taken then.
         root = tmp_path / "corpus"
         data.generate_synthetic(str(root), 2, 5, frames=6, size=(16, 16), seed=5)
         cfg = data.PreprocessConfig(16, 16, 1, 6)
@@ -247,10 +246,8 @@ class TestFit:
         path = tmp_path / "frozen.slm"
         modelio.save_model(spec, params, cfg, manifest.class_names, str(path))
         model_digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        v1_digest = hashlib.sha256(oracles.as_version_1(path.read_bytes())).hexdigest()
         history_digest = hashlib.sha256(history.to_csv().encode()).hexdigest()
         assert model_digest == "f575aefd47eb0caf79d6e23382a255b11d5e3fe0f33db64152b1a96502ce9619"
-        assert v1_digest == "2c710976947fd130bc04b315e6f0b6b25136fa071cc68134407278f31a121a08"
         assert history_digest == "edb04ec3aa26356283f9205041e90adbebd9a2c15e2cb4497f7e68583eaa0d3d"
 
     def test_poisoned_validation_labels_leave_weights_unchanged(self, small_manifest):
