@@ -326,7 +326,7 @@ class TestCommands:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("command", ["grade", "predict"])
+    @pytest.mark.parametrize("command", ["grade", "predict", "evaluate"])
     def test_version_1_model_prints_one_error_line(self, trained, tiny_corpus, tmp_path, capsys,
                                                    command):
         # The format before sha256, with a well-formed checksum of its own.
@@ -335,7 +335,9 @@ class TestCommands:
         header.update(format_version=1, payload_checksum_fnv1a64="0123456789abcdef")
         old = tmp_path / "old.slm"
         old.write_bytes(oracles.model_file(header, payload))
-        rc = cli.main([command, "--model", str(old), "--clip", _a_clip_dir(tiny_corpus)])
+        source = (["--data", tiny_corpus] if command == "evaluate"
+                  else ["--clip", _a_clip_dir(tiny_corpus)])
+        rc = cli.main([command, "--model", str(old), *source])
         out, err = capsys.readouterr()
         assert rc == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err

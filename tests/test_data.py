@@ -155,9 +155,11 @@ def _load_split_seed(root, seed):
     lambda root: data.generate_synthetic(root, 2, 1, frames=2, size=(20.7, 20)),
     lambda root: data.generate_synthetic(root, 2, 1, frames=2, size=(8, 8), seed=2.5),
     lambda root: _load_split_seed(root, 2.5),
+    lambda root: data.generate_synthetic(root, 2, 1, frames=2, size=(20, 20.5)),
+    lambda root: _load_split_seed(root, "2"),
 ], ids=["target_height", "channels", "sequence_length", "length", "unequal_frames",
         "synth_frames", "synth_clips_per_class", "synth_num_classes", "synth_size",
-        "synth_seed", "split_seed"])
+        "synth_seed", "split_seed", "synth_width", "split_seed_text"])
 def test_non_integers_and_unequal_frames_are_dataset_errors(make, tmp_path):
     with pytest.raises(DatasetError):
         make(str(tmp_path / "corpus"))
@@ -209,6 +211,19 @@ class TestGenerateSynthetic:
             "6ba1c50a6a2f54800bd627ff8c80d08b26883eab887d74042add49998699a13f"
         )
 
+    def test_numpy_integer_arguments_write_the_same_files(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        data.generate_synthetic(str(a), 2, 2, frames=3, size=(12, 16), seed=4)
+        data.generate_synthetic(str(b), np.int64(2), np.int32(2), frames=np.int16(3),
+                                size=(np.int64(12), np.uint8(16)), seed=np.int64(4))
+        for dirpath, _, files in os.walk(a):
+            rel = os.path.relpath(dirpath, a)
+            assert sorted(os.listdir(os.path.join(b, rel))) == sorted(os.listdir(dirpath))
+            for name in files:
+                with open(os.path.join(dirpath, name), "rb") as fa, \
+                        open(os.path.join(b, rel, name), "rb") as fb:
+                    assert fa.read() == fb.read(), os.path.join(rel, name)
+
     def test_too_many_classes_rejected(self, tmp_path):
         with pytest.raises(DatasetError):
             data.generate_synthetic(str(tmp_path / "x"), 9, 1)
@@ -232,6 +247,16 @@ class TestLoadDataset:
         train_ids = {s.clip_id for s in manifest.train}
         eval_ids = {s.clip_id for s in manifest.eval}
         assert not train_ids & eval_ids
+
+    def test_numpy_integer_seed_splits_as_its_int(self, tmp_path):
+        root = tmp_path / "ds"
+        data.generate_synthetic(str(root), 2, 5, frames=4, size=(16, 16), seed=1)
+        cfg = PreprocessConfig(16, 16, 1, 4)
+        a = data.load_dataset(str(root), cfg, seed=9)
+        b = data.load_dataset(str(root), cfg, seed=np.int64(9))
+        assert type(b.seed) is int and b.seed == 9
+        assert [s.clip_id for s in a.train] == [s.clip_id for s in b.train]
+        assert [s.clip_id for s in a.eval] == [s.clip_id for s in b.eval]
 
     def test_same_seed_identical_manifest(self, tmp_path):
         root = tmp_path / "ds"

@@ -13,6 +13,7 @@ from signet.tensor import Rng
 
 SMALL = (6, 16, 16, 1)
 CLASSES = ["alpha", "beta", "gamma", "delta"]
+TINY = (4, 8, 8, 1)  # a clip every architecture builds for
 
 
 @pytest.fixture(scope="module")
@@ -177,12 +178,46 @@ class TestLoad:
             moved = not np.array_equal(params[name].data, before[name])
             assert moved == params.is_trainable(name), name
 
+    @pytest.mark.parametrize("arch, trainable", [
+        ("cnn_lstm", False), ("cnn3d", False), ("cnn_rnn_lstm", False), ("cnn_rnn_lstm", True),
+        ("cnn_td", False),
+    ], ids=str)
+    def test_every_architecture_round_trips_bit_identical(self, tmp_path, arch, trainable):
+        path, spec, params = _save_tiny(tmp_path, arch, trainable)
+        spec2, params2, cfg2, names2 = modelio.load_model(path)
+        assert spec2 == spec
+        assert (cfg2, names2) == (PreprocessConfig(8, 8, 1, 4), ["a", "b", "c"])
+        assert params2.names() == params.names()
+        for name in params.names():
+            assert params2[name].data.tobytes() == params[name].data.tobytes(), name
+            assert params2.is_trainable(name) == params.is_trainable(name), name
+
     def test_reserialization_identical(self, saved, tmp_path):
         path, *_ = saved
         spec2, params2, cfg2, names2 = modelio.load_model(path)
         again = tmp_path / "resave.slm"
         modelio.save_model(spec2, params2, cfg2, names2, str(again))
         assert again.read_bytes() == open(path, "rb").read()
+
+
+def _save_tiny(tmp_path, arch, trainable=False):
+    """A seeded three-class model of ``arch`` saved at ``TINY``: (path, spec, params)."""
+    spec = models.build(arch, TINY, 3, feature_extractor_trainable=trainable)
+    params = models.init_model(spec, Rng(5))
+    path = str(tmp_path / f"{arch}.slm")
+    modelio.save_model(spec, params, PreprocessConfig(8, 8, 1, 4), ["a", "b", "c"], path)
+    return path, spec, params
+
+
+def _version_1(path, checksums=None) -> bytes:
+    """The file at path with ``format_version`` 1 and the ``checksums`` keys in
+    place of its ``payload_sha256``; by default the 16-hex-digit FNV-1a key
+    that version 1 carried, whose value is never read."""
+    header, payload = oracles.split_model_file(open(path, "rb").read())
+    del header["payload_sha256"]
+    if checksums is None:
+        checksums = {"payload_checksum_fnv1a64": "0123456789abcdef"}
+    return oracles.model_file({**header, **checksums, "format_version": 1}, payload)
 
 
 def _with_header(path, mutate) -> bytes:
@@ -211,12 +246,39 @@ class TestRejection:
         with pytest.raises(modelio.BadMagicError, match="not a model file"):
             modelio.load_model(str(bad))
 
-    @pytest.mark.parametrize("version", [1, 3, 0, [2]], ids=str)
+    @pytest.mark.parametrize("version", [1, 3, 0, -2, 2.0, True, "2", None, [2]], ids=repr)
     def test_unsupported_version(self, saved, tmp_path, version):
         path, *_ = saved
         bad = tmp_path / "other.slm"
         bad.write_bytes(_with_header(path, lambda h: {**h, "format_version": version}))
         with pytest.raises(modelio.UnsupportedVersionError):
+            modelio.load_model(str(bad))
+
+    @pytest.mark.parametrize("version", [1, 1.0, True, 3], ids=repr)
+    def test_only_version_1_is_told_it_is_no_longer_read(self, saved, tmp_path, version):
+        # 1.0 and true equal 1 in Python, but are not the JSON integer 1.
+        path, *_ = saved
+        bad = tmp_path / "other.slm"
+        bad.write_bytes(_with_header(path, lambda h: {**h, "format_version": version}))
+        with pytest.raises(modelio.UnsupportedVersionError) as exc:
+            modelio.load_model(str(bad))
+        told = "version 1 is no longer read" in str(exc.value)
+        assert told == (type(version) is int and version == 1), exc.value
+
+    @pytest.mark.parametrize("keys", [
+        ["payload_checksum_fnv1a64"], ["payload_sha256"],
+        ["payload_checksum_fnv1a64", "payload_sha256"], [],
+    ], ids=["fnv1a64_key", "sha256_key", "both_keys", "no_key"])
+    def test_version_1_is_refused_before_its_checksum_is_read(self, saved, tmp_path, keys):
+        # Whatever checksum a version-1 file carries, matching or not, the
+        # version alone refuses it.
+        path, *_ = saved
+        _, payload = oracles.split_model_file(open(path, "rb").read())
+        values = {"payload_checksum_fnv1a64": "0123456789abcdef",
+                  "payload_sha256": hashlib.sha256(payload).hexdigest()}
+        bad = tmp_path / "old.slm"
+        bad.write_bytes(_version_1(path, {k: values[k] for k in keys}))
+        with pytest.raises(modelio.UnsupportedVersionError, match="version 1 is no longer read"):
             modelio.load_model(str(bad))
 
     @pytest.mark.parametrize("drop", ["payload_sha256", None],
@@ -369,6 +431,20 @@ class TestRejection:
         with pytest.raises(modelio.ChecksumError):
             modelio.load_model(str(bad))
 
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("arch", models.ARCHITECTURES)
+    def test_flipped_payload_byte_of_any_architecture_is_a_checksum_error(self, tmp_path, arch,
+                                                                          where):
+        # The sha256 covers each architecture's payload from its first byte to its last.
+        path, *_ = _save_tiny(tmp_path, arch)
+        raw = bytearray(open(path, "rb").read())
+        _, payload = oracles.split_model_file(bytes(raw))
+        raw[len(raw) - len(payload) if where == "first" else -1] ^= 0x01
+        bad = tmp_path / "flip.slm"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(modelio.ChecksumError):
+            modelio.load_model(str(bad))
+
     def test_non_finite_payload_is_a_format_error(self, saved, tmp_path):
         path, *_ = saved
         header, payload = oracles.split_model_file(open(path, "rb").read())
@@ -447,3 +523,20 @@ class TestFileFuzz:
         short.write_bytes(raw[:cut])
         with pytest.raises(modelio.ModelFormatError):
             modelio.load_model(str(short))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_version_1_files_never_load(self, saved, tmp_path_factory, draw):
+        # Whole, with one byte changed or cut short: turning its version
+        # digit into 2 still leaves the FNV-1a key where sha256 belongs.
+        path, *_ = saved
+        raw = bytearray(_version_1(path))
+        change = draw.draw(st.sampled_from(["none", "mutate", "truncate"]))
+        if change == "mutate":
+            raw[draw.draw(st.integers(0, len(raw) - 1))] ^= draw.draw(st.integers(1, 255))
+        elif change == "truncate":
+            raw = raw[: draw.draw(st.integers(0, len(raw) - 1))]
+        old = tmp_path_factory.getbasetemp() / "old.slm"
+        old.write_bytes(bytes(raw))
+        with pytest.raises(modelio.ModelFormatError):
+            modelio.load_model(str(old))

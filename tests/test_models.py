@@ -95,6 +95,18 @@ class TestBuilders:
             models.build(arch, (t, h, w, 1), 3.0)
         assert str(exc.value).startswith(f"{arch}: "), exc.value
 
+    @pytest.mark.parametrize("count", [np.float64(3.0), "3", None, 1], ids=repr)
+    @pytest.mark.parametrize("arch", models.ARCHITECTURES)
+    def test_each_builder_checks_its_class_count(self, arch, count):
+        # The builders themselves, not only build, refuse a count that is
+        # not an integer of at least two, naming their architecture.
+        t, h, w = self.SMALLEST[arch]
+        builder = getattr(models, f"build_{arch}")
+        with pytest.raises(ShapeError) as exc:
+            builder((t, h, w, 1), count)
+        assert str(exc.value).startswith(f"{arch}: "), exc.value
+        assert "class" in str(exc.value), exc.value
+
     def test_accepted_shapes_follow_the_smallest_clips(self):
         # Every (T, H, W, 1) with T in 1..6 and H, W in 1..10, for every
         # architecture: a clip builds exactly when no extent is below the
